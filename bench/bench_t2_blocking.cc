@@ -17,6 +17,7 @@
 // the physical core count (flat on single-core machines — see the recorded
 // hardware_concurrency), identical blocks throughout.
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <functional>
@@ -57,9 +58,9 @@ double MedianOfThree(const std::function<double()>& run) {
 
 bool SameBlocks(const BlockCollection& a, const BlockCollection& b) {
   if (a.num_blocks() != b.num_blocks()) return false;
-  for (size_t i = 0; i < a.num_blocks(); ++i) {
-    if (a.KeyString(a.block(i).key) != b.KeyString(b.block(i).key) ||
-        a.block(i).entities != b.block(i).entities) {
+  for (uint32_t i = 0; i < a.num_blocks(); ++i) {
+    if (a.KeyString(i) != b.KeyString(i) ||
+        !std::ranges::equal(a.entities(i), b.entities(i))) {
       return false;
     }
   }

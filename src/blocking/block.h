@@ -10,10 +10,11 @@
 #ifndef MINOAN_BLOCKING_BLOCK_H_
 #define MINOAN_BLOCKING_BLOCK_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
-#include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "kb/collection.h"
@@ -45,42 +46,53 @@ struct Comparison {
   }
 };
 
-/// One block: a key and the (sorted) entities that share it.
-struct Block {
-  uint32_t key = 0;  // id in BlockCollection::keys()
-  std::vector<EntityId> entities;
-
-  size_t size() const { return entities.size(); }
-
-  /// Number of comparisons this block induces under `mode` (cross-KB pairs
-  /// only for clean-clean), ignoring cross-block redundancy.
-  uint64_t NumComparisons(const EntityCollection& collection,
-                          ResolutionMode mode) const;
-};
-
-/// An immutable set of blocks plus the inverted entity→blocks index that
-/// meta-blocking traverses.
+/// A set of blocks stored as one CSR — offsets plus the concatenated sorted
+/// entity lists — and the inverted entity→blocks index that meta-blocking
+/// traverses. Entity membership is all that cleaning, the blocking graph,
+/// and pruning read. Block keys are an optional side array: a keyed
+/// collection (every block added with a key) also holds one key id per
+/// block plus the key interner, for reporting and tests; a keyless one
+/// holds membership only. Blocks keep their insertion order forever, and
+/// cleaning carries each surviving block's key along.
 class BlockCollection {
  public:
-  BlockCollection() = default;
+  BlockCollection() : offsets_{0} {}
 
-  /// Appends a block with the given key string and entity list. Entities are
-  /// sorted and deduplicated; blocks of fewer than 2 entities are dropped.
+  /// Appends a keyless block. `entities` is sorted and deduplicated in
+  /// place; lists of fewer than 2 entities are dropped. Returns whether the
+  /// block was kept.
+  bool AddBlock(std::vector<EntityId>& entities);
+
+  /// Appends a block with the given key string, normalized as above; the
+  /// key is interned only when the block is kept.
   void AddBlock(std::string_view key, std::vector<EntityId> entities);
 
-  size_t num_blocks() const { return blocks_.size(); }
-  const Block& block(size_t i) const { return blocks_[i]; }
-  const std::vector<Block>& blocks() const { return blocks_; }
-  std::string_view KeyString(uint32_t key_id) const {
-    return keys_.View(key_id);
+  size_t num_blocks() const { return offsets_.size() - 1; }
+
+  std::span<const EntityId> entities(uint32_t bi) const {
+    return std::span<const EntityId>(entities_.data() + offsets_[bi],
+                                     offsets_[bi + 1] - offsets_[bi]);
   }
+  size_t block_size(uint32_t bi) const {
+    return offsets_[bi + 1] - offsets_[bi];
+  }
+
+  /// Key of block `bi` (keyed collections only).
+  std::string_view KeyString(uint32_t bi) const {
+    return keys_.View(key_ids_[bi]);
+  }
+
+  /// Number of comparisons block `bi` induces under `mode` (cross-KB pairs
+  /// only for clean-clean), ignoring cross-block redundancy.
+  uint64_t NumComparisons(uint32_t bi, const EntityCollection& collection,
+                          ResolutionMode mode) const;
 
   /// Aggregate comparisons over all blocks (with cross-block redundancy).
   uint64_t AggregateComparisons(const EntityCollection& collection,
                                 ResolutionMode mode) const;
 
   /// Enumerates the *distinct* comparisons (each unordered pair once, even
-  /// when it co-occurs in many blocks), restricted by `mode`.
+  /// when it co-occurs in many blocks) in block order, restricted by `mode`.
   std::vector<Comparison> DistinctComparisons(
       const EntityCollection& collection, ResolutionMode mode) const;
 
@@ -99,14 +111,37 @@ class BlockCollection {
         index_offsets_[e + 1] - index_offsets_[e]);
   }
 
-  /// Replaces the block set (used by purging/filtering); invalidates the
-  /// entity index.
-  void ReplaceBlocks(std::vector<Block> blocks);
-
-  const StringInterner& keys() const { return keys_; }
+  /// Rewrites the blocks in order: `survivor(bi)` returns what block `bi`
+  /// keeps — all of entities(bi), a sorted subset of it, or fewer than 2
+  /// entities to drop the block. A kept block keeps its key. Compacts in
+  /// place and invalidates the entity index.
+  template <typename SurvivorFn>
+  void FilterInPlace(const SurvivorFn& survivor) {
+    std::vector<uint64_t> new_offsets{0};
+    size_t write = 0;
+    uint32_t kept = 0;
+    for (uint32_t bi = 0; bi < num_blocks(); ++bi) {
+      const std::span<const EntityId> block = survivor(bi);
+      if (block.size() < 2) continue;
+      // Safe in place: a survivor inside the store lies within block bi,
+      // which starts at or after the write cursor.
+      std::copy(block.begin(), block.end(), entities_.begin() + write);
+      write += block.size();
+      new_offsets.push_back(write);
+      if (!key_ids_.empty()) key_ids_[kept] = key_ids_[bi];
+      ++kept;
+    }
+    entities_.resize(write);
+    offsets_ = std::move(new_offsets);
+    if (!key_ids_.empty()) key_ids_.resize(kept);
+    index_offsets_.clear();
+    index_blocks_.clear();
+  }
 
  private:
-  std::vector<Block> blocks_;
+  std::vector<uint64_t> offsets_;   // offsets_[0] == 0, size = blocks + 1
+  std::vector<EntityId> entities_;  // concatenated block entity lists
+  std::vector<uint32_t> key_ids_;   // empty for a keyless collection
   StringInterner keys_;
   std::vector<uint64_t> index_offsets_;
   std::vector<uint32_t> index_blocks_;

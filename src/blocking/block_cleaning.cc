@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -17,18 +18,27 @@ namespace {
 /// count.
 constexpr size_t kCleaningChunk = 256;
 
-CleaningStats MakeStats(const BlockCollection& before_blocks,
-                        uint64_t comparisons_before,
-                        const BlockCollection& after_blocks,
-                        const EntityCollection& collection,
-                        ResolutionMode mode, uint64_t blocks_before) {
-  (void)before_blocks;
+/// Runs `clean` between the before/after snapshots of the block count and
+/// aggregate comparisons.
+template <typename CleanFn>
+CleaningStats MeasuredClean(BlockCollection& blocks,
+                            const EntityCollection& collection,
+                            ResolutionMode mode, const CleanFn& clean) {
   CleaningStats stats;
-  stats.blocks_before = blocks_before;
-  stats.blocks_after = after_blocks.num_blocks();
-  stats.comparisons_before = comparisons_before;
-  stats.comparisons_after = after_blocks.AggregateComparisons(collection, mode);
+  stats.blocks_before = blocks.num_blocks();
+  stats.comparisons_before = blocks.AggregateComparisons(collection, mode);
+  clean();
+  stats.blocks_after = blocks.num_blocks();
+  stats.comparisons_after = blocks.AggregateComparisons(collection, mode);
   return stats;
+}
+
+/// Keeps the blocks of at most `max_size` entities, in order.
+void KeepBlocksUpTo(BlockCollection& blocks, uint64_t max_size) {
+  blocks.FilterInPlace([&](uint32_t bi) {
+    return blocks.block_size(bi) <= max_size ? blocks.entities(bi)
+                                             : std::span<const EntityId>();
+  });
 }
 
 }  // namespace
@@ -36,156 +46,117 @@ CleaningStats MakeStats(const BlockCollection& before_blocks,
 CleaningStats PurgeBySize(BlockCollection& blocks, uint32_t max_block_size,
                           const EntityCollection& collection,
                           ResolutionMode mode) {
-  const uint64_t blocks_before = blocks.num_blocks();
-  const uint64_t comparisons_before =
-      blocks.AggregateComparisons(collection, mode);
-  std::vector<Block> kept;
-  for (const Block& b : blocks.blocks()) {
-    if (b.size() <= max_block_size) kept.push_back(b);
-  }
-  blocks.ReplaceBlocks(std::move(kept));
-  return MakeStats(blocks, comparisons_before, blocks, collection, mode,
-                   blocks_before);
+  return MeasuredClean(blocks, collection, mode,
+                       [&] { KeepBlocksUpTo(blocks, max_block_size); });
 }
 
 CleaningStats AutoPurge(BlockCollection& blocks,
                         const EntityCollection& collection,
                         ResolutionMode mode, double smoothing,
                         ThreadPool* pool) {
-  const uint64_t blocks_before = blocks.num_blocks();
-  const uint64_t comparisons_before =
-      blocks.AggregateComparisons(collection, mode);
-
-  // Per distinct block size: total comparisons and total block assignments,
-  // as a size -> (cmp, assign) map — counted per block chunk and summed in
-  // chunk order (integer sums, identical at every thread count).
-  std::vector<std::map<uint64_t, std::pair<uint64_t, uint64_t>>> chunk_sizes(
-      NumChunks(blocks.num_blocks(), kCleaningChunk));
-  RunChunkedTasks(pool, blocks.num_blocks(), kCleaningChunk,
-                  [&](size_t c, size_t begin, size_t end) {
-                    for (size_t bi = begin; bi < end; ++bi) {
-                      const Block& b = blocks.block(bi);
-                      auto& [cmp, assign] = chunk_sizes[c][b.size()];
-                      cmp += b.NumComparisons(collection, mode);
-                      assign += b.size();
-                    }
-                  });
-  std::map<uint64_t, std::pair<uint64_t, uint64_t>> by_size;
-  for (const auto& local : chunk_sizes) {
-    for (const auto& [size, totals] : local) {
-      auto& [cmp, assign] = by_size[size];
-      cmp += totals.first;
-      assign += totals.second;
-    }
-  }
-  // Ascending scan of the cumulative comparisons-per-assignment ratio. The
-  // threshold is set below the LAST size at which the ratio jumps by more
-  // than `smoothing` — the oversized blocks dominate cumulative comparisons,
-  // so the last jump marks where they begin. (Papadakis et al.; only the
-  // few giant blocks are purged, small blocks always survive.)
-  uint64_t max_keep_size = by_size.empty() ? 0 : by_size.rbegin()->first;
-  uint64_t cum_cmp = 0, cum_assign = 0;
-  double prev_ratio = -1.0;
-  uint64_t prev_size = 0;
-  for (const auto& [size, totals] : by_size) {
-    cum_cmp += totals.first;
-    cum_assign += totals.second;
-    if (cum_assign == 0) continue;
-    const double ratio =
-        static_cast<double>(cum_cmp) / static_cast<double>(cum_assign);
-    if (prev_ratio >= 0.0 && ratio > smoothing * prev_ratio) {
-      max_keep_size = prev_size;  // last jump wins
-    }
-    prev_ratio = ratio;
-    prev_size = size;
-  }
-  if (max_keep_size == 0 && !by_size.empty()) {
-    max_keep_size = by_size.begin()->first;
-  }
-  // Keep scan: chunk-local survivor lists concatenated in chunk order = the
-  // sequential block order.
-  std::vector<std::vector<Block>> chunk_kept(
-      NumChunks(blocks.num_blocks(), kCleaningChunk));
-  RunChunkedTasks(pool, blocks.num_blocks(), kCleaningChunk,
-                  [&](size_t c, size_t begin, size_t end) {
-                    for (size_t bi = begin; bi < end; ++bi) {
-                      const Block& b = blocks.block(bi);
-                      if (b.size() <= max_keep_size) {
-                        chunk_kept[c].push_back(b);
+  return MeasuredClean(blocks, collection, mode, [&] {
+    // Per distinct block size: total comparisons and total block
+    // assignments, as a size -> (cmp, assign) map — counted per block chunk
+    // and summed in chunk order (integer sums, identical at every thread
+    // count).
+    std::vector<std::map<uint64_t, std::pair<uint64_t, uint64_t>>>
+        chunk_sizes(NumChunks(blocks.num_blocks(), kCleaningChunk));
+    RunChunkedTasks(pool, blocks.num_blocks(), kCleaningChunk,
+                    [&](size_t c, size_t begin, size_t end) {
+                      for (size_t i = begin; i < end; ++i) {
+                        const uint32_t bi = static_cast<uint32_t>(i);
+                        auto& [cmp, assign] =
+                            chunk_sizes[c][blocks.block_size(bi)];
+                        cmp += blocks.NumComparisons(bi, collection, mode);
+                        assign += blocks.block_size(bi);
                       }
-                    }
-                  });
-  blocks.ReplaceBlocks(FlattenInOrder(chunk_kept));
-  return MakeStats(blocks, comparisons_before, blocks, collection, mode,
-                   blocks_before);
+                    });
+    std::map<uint64_t, std::pair<uint64_t, uint64_t>> by_size;
+    for (const auto& local : chunk_sizes) {
+      for (const auto& [size, totals] : local) {
+        auto& [cmp, assign] = by_size[size];
+        cmp += totals.first;
+        assign += totals.second;
+      }
+    }
+    // Ascending scan of the cumulative comparisons-per-assignment ratio.
+    // The threshold is set below the LAST size at which the ratio jumps by
+    // more than `smoothing` — the oversized blocks dominate cumulative
+    // comparisons, so the last jump marks where they begin. (Papadakis et
+    // al.; only the few giant blocks are purged, small blocks always
+    // survive.)
+    uint64_t max_keep_size = by_size.empty() ? 0 : by_size.rbegin()->first;
+    uint64_t cum_cmp = 0, cum_assign = 0;
+    double prev_ratio = -1.0;
+    uint64_t prev_size = 0;
+    for (const auto& [size, totals] : by_size) {
+      cum_cmp += totals.first;
+      cum_assign += totals.second;
+      if (cum_assign == 0) continue;
+      const double ratio =
+          static_cast<double>(cum_cmp) / static_cast<double>(cum_assign);
+      if (prev_ratio >= 0.0 && ratio > smoothing * prev_ratio) {
+        max_keep_size = prev_size;  // last jump wins
+      }
+      prev_ratio = ratio;
+      prev_size = size;
+    }
+    if (max_keep_size == 0 && !by_size.empty()) {
+      max_keep_size = by_size.begin()->first;
+    }
+    KeepBlocksUpTo(blocks, max_keep_size);
+  });
 }
 
 CleaningStats FilterBlocks(BlockCollection& blocks, double ratio,
                            const EntityCollection& collection,
                            ResolutionMode mode, ThreadPool* pool) {
-  const uint64_t blocks_before = blocks.num_blocks();
-  const uint64_t comparisons_before =
-      blocks.AggregateComparisons(collection, mode);
   if (ratio <= 0.0 || ratio > 1.0) ratio = 1.0;
-
-  // entity -> indices of its blocks, ascending (a cheap linear scatter;
-  // the sort-heavy per-entity pass below is the part worth fanning out).
-  const uint32_t n = collection.num_entities();
-  std::vector<std::vector<uint32_t>> memberships(n);
-  for (uint32_t bi = 0; bi < blocks.num_blocks(); ++bi) {
-    for (EntityId e : blocks.block(bi).entities) {
-      memberships[e].push_back(bi);
-    }
-  }
-  // Per entity (chunked): sort its blocks by (size, index) ascending and
-  // keep the smallest ceil(ratio · |blocks|), collected as chunk-local
-  // (block, entity) pairs.
-  std::vector<std::vector<std::pair<uint32_t, EntityId>>> chunk_keeps(
-      NumChunks(n, kCleaningChunk));
-  RunChunkedTasks(pool, n, kCleaningChunk, [&](size_t c, size_t begin,
-                                               size_t end) {
-    for (uint32_t e = static_cast<uint32_t>(begin);
-         e < static_cast<uint32_t>(end); ++e) {
-      auto& mine = memberships[e];
-      if (mine.empty()) continue;
-      std::sort(mine.begin(), mine.end(), [&](uint32_t x, uint32_t y) {
-        const size_t sx = blocks.block(x).size(), sy = blocks.block(y).size();
-        return sx != sy ? sx < sy : x < y;
-      });
-      const size_t keep = static_cast<size_t>(
-          std::max(1.0, std::ceil(ratio * static_cast<double>(mine.size()))));
-      for (size_t i = 0; i < std::min(keep, mine.size()); ++i) {
-        chunk_keeps[c].emplace_back(mine[i], e);
+  return MeasuredClean(blocks, collection, mode, [&] {
+    // entity -> indices of its blocks, ascending (a cheap linear scatter;
+    // the sort-heavy per-entity pass below is the part worth fanning out).
+    const uint32_t n = collection.num_entities();
+    std::vector<std::vector<uint32_t>> memberships(n);
+    for (uint32_t bi = 0; bi < blocks.num_blocks(); ++bi) {
+      for (EntityId e : blocks.entities(bi)) {
+        memberships[e].push_back(bi);
       }
     }
+    // Per entity (chunked): sort its blocks by (size, index) ascending and
+    // keep the smallest ceil(ratio · |blocks|), collected as chunk-local
+    // (block, entity) pairs.
+    std::vector<std::vector<std::pair<uint32_t, EntityId>>> chunk_keeps(
+        NumChunks(n, kCleaningChunk));
+    RunChunkedTasks(pool, n, kCleaningChunk, [&](size_t c, size_t begin,
+                                                 size_t end) {
+      for (uint32_t e = static_cast<uint32_t>(begin);
+           e < static_cast<uint32_t>(end); ++e) {
+        auto& mine = memberships[e];
+        if (mine.empty()) continue;
+        std::sort(mine.begin(), mine.end(), [&](uint32_t x, uint32_t y) {
+          const size_t sx = blocks.block_size(x), sy = blocks.block_size(y);
+          return sx != sy ? sx < sy : x < y;
+        });
+        const size_t keep = static_cast<size_t>(std::max(
+            1.0, std::ceil(ratio * static_cast<double>(mine.size()))));
+        for (size_t i = 0; i < std::min(keep, mine.size()); ++i) {
+          chunk_keeps[c].emplace_back(mine[i], e);
+        }
+      }
+    });
+    // Scatter in chunk order: entities ascend across (and within) chunks,
+    // so each retained list comes out in the sequential ascending-entity
+    // order.
+    std::vector<std::vector<EntityId>> retained(blocks.num_blocks());
+    for (auto& chunk : chunk_keeps) {
+      for (const auto& [bi, e] : chunk) retained[bi].push_back(e);
+      chunk.clear();
+      chunk.shrink_to_fit();
+    }
+    // Rebuild the surviving blocks in block order, keys following along.
+    blocks.FilterInPlace(
+        [&](uint32_t bi) { return std::span<const EntityId>(retained[bi]); });
   });
-  // Scatter in chunk order: entities ascend across (and within) chunks, so
-  // each retained list comes out in the sequential ascending-entity order.
-  std::vector<std::vector<EntityId>> retained(blocks.num_blocks());
-  for (auto& chunk : chunk_keeps) {
-    for (const auto& [bi, e] : chunk) retained[bi].push_back(e);
-    chunk.clear();
-    chunk.shrink_to_fit();
-  }
-  // Rebuild surviving blocks (chunked over blocks, concatenated in block
-  // order — the sequential emission order).
-  std::vector<std::vector<Block>> chunk_kept(
-      NumChunks(blocks.num_blocks(), kCleaningChunk));
-  RunChunkedTasks(pool, blocks.num_blocks(), kCleaningChunk,
-                  [&](size_t c, size_t begin, size_t end) {
-                    for (size_t bi = begin; bi < end; ++bi) {
-                      if (retained[bi].size() < 2) continue;
-                      Block b;
-                      b.key = blocks.block(bi).key;
-                      std::sort(retained[bi].begin(), retained[bi].end());
-                      b.entities = std::move(retained[bi]);
-                      chunk_kept[c].push_back(std::move(b));
-                    }
-                  });
-  // Rebuild against the same key table: ReplaceBlocks keeps the interner.
-  blocks.ReplaceBlocks(FlattenInOrder(chunk_kept));
-  return MakeStats(blocks, comparisons_before, blocks, collection, mode,
-                   blocks_before);
 }
 
 }  // namespace minoan

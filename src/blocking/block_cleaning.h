@@ -7,11 +7,12 @@
 // comparisons but almost none of the matching pairs, at negligible recall
 // cost — the standard pipeline of block-based ER over heterogeneous data.
 //
-// Both operators run their scans on the chunked-pool pattern
-// (util/thread_pool.h RunChunkedTasks): pass a pool and the size histogram,
-// the per-entity membership filtering, and the keep scans fan out over
-// fixed-size chunks; pass nullptr and the same code runs inline. The
-// cleaned block collection is byte-identical at every thread count.
+// Both operators run their heavy scans on the chunked-pool pattern
+// (util/thread_pool.h RunChunkedTasks): pass a pool and the size histogram
+// and the per-entity membership filtering fan out over fixed-size chunks;
+// pass nullptr and the same code runs inline. Survivors are then compacted
+// in place, in block order, keys following their blocks. The cleaned block
+// collection is byte-identical at every thread count.
 
 #ifndef MINOAN_BLOCKING_BLOCK_CLEANING_H_
 #define MINOAN_BLOCKING_BLOCK_CLEANING_H_

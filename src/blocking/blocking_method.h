@@ -19,36 +19,42 @@ class ThreadPool;
 /// Receiver of a blocking method's emitted blocks, one call per surviving
 /// block in the method's canonical (deterministic) emission order.
 /// `entities` is caller-owned scratch: the sink may read, mutate, or steal
-/// it (BlockCollectionSink moves it into AddBlock). Lists may be unsorted
-/// and contain duplicates — sinks normalize exactly like
-/// BlockCollection::AddBlock always has.
+/// it. Lists may be unsorted and contain duplicates — sinks normalize
+/// exactly like BlockCollection::AddBlock.
 class BlockSink {
  public:
   virtual ~BlockSink() = default;
 
-  /// False when the sink ignores block keys (the out-of-core flat store
-  /// keeps only entity membership) — methods then skip materializing key
-  /// strings and may pass an empty view.
+  /// False when the sink ignores block keys — methods then skip
+  /// materializing key strings and may pass an empty view.
   virtual bool wants_keys() const { return true; }
 
   virtual void Add(std::string_view key, std::vector<EntityId>& entities) = 0;
 };
 
-/// The classic sink: interns keys and appends normalized blocks to a
-/// BlockCollection.
+/// Appends normalized blocks to a BlockCollection. Keyed (the default), it
+/// fills the collection's key side array; keyless, it stores entity
+/// membership only — all the resolution pipeline reads.
 class BlockCollectionSink : public BlockSink {
  public:
-  explicit BlockCollectionSink(BlockCollection& out) : out_(&out) {}
+  explicit BlockCollectionSink(BlockCollection& out, bool keyed = true)
+      : out_(&out), keyed_(keyed) {}
+  bool wants_keys() const override { return keyed_; }
   void Add(std::string_view key, std::vector<EntityId>& entities) override {
-    out_->AddBlock(key, std::move(entities));
+    if (keyed_) {
+      out_->AddBlock(key, std::move(entities));
+    } else {
+      out_->AddBlock(entities);
+    }
   }
 
  private:
   BlockCollection* out_;
+  bool keyed_;
 };
 
 /// Abstract blocking method: entity collection in, blocks out (to a sink or
-/// a materialized BlockCollection).
+/// a keyed BlockCollection).
 ///
 /// Every concrete method runs on the deterministic sharded-postings core
 /// (blocking/sharded_blocking.h): pass a pool and index construction fans
@@ -71,7 +77,7 @@ class BlockingMethod {
   virtual void BuildInto(const EntityCollection& collection, ThreadPool* pool,
                          BlockSink& sink) const = 0;
 
-  /// Builds a materialized BlockCollection (BuildInto through a
+  /// Builds a keyed BlockCollection (BuildInto through a keyed
   /// BlockCollectionSink).
   BlockCollection Build(const EntityCollection& collection,
                         ThreadPool* pool) const {

@@ -162,12 +162,6 @@ class MinoanEr {
   /// Runs the full workflow. The collection must be finalized.
   Result<ResolutionReport> Run(const EntityCollection& collection) const;
 
-  /// Phase 1 only: build + clean blocks (exposed for tooling and tests).
-  /// A spill failure under an external-memory budget surfaces as IoError,
-  /// matching Run/Open.
-  Result<BlockCollection> BuildBlocks(const EntityCollection& collection)
-      const;
-
   const WorkflowOptions& options() const { return options_; }
 
  private:

@@ -6,7 +6,8 @@
 #include <thread>
 #include <vector>
 
-#include "blocking/flat_block_store.h"
+#include "blocking/block_cleaning.h"
+#include "blocking/blocking_method.h"
 #include "extmem/spill_file.h"
 #include "kb/neighbor_graph.h"
 #include "matching/similarity_evaluator.h"
@@ -191,117 +192,56 @@ Result<ResolutionSession> ResolutionSession::Open(
   }
 
   // ---- Blocking + cleaning + meta-blocking --------------------------------
-  // With a memory budget the shuffles hit the filesystem; a spill failure
+  // One keyless block store whatever the memory budget: the budget reaches
+  // only the blocker's shuffle (MakeWorkflowBlocker) and the pruning sinks
+  // (EffectiveMetaOptions), which spill to the filesystem — a spill failure
   // (unwritable temp dir, full disk) surfaces as a Status here instead of
   // unwinding through the caller.
   std::vector<WeightedComparison> candidates;
   try {
-    if (options.memory.enabled()) {
-      // Fully out-of-core static phases: the blocker streams its surviving
-      // blocks from the spilled shuffle straight into a keyless flat store —
-      // the keyed BlockCollection never exists — and cleaning, the graph
-      // view, and pruning all run over the flat CSR. Every stage mirrors the
-      // in-memory algorithms exactly, so the candidate schedule (and with
-      // it every downstream byte) is identical to the unbudgeted run.
-      watch.Restart();
-      FlatBlockStore flat;
-      {
-        obs::PhaseSpan span(impl->trace.get(), "blocking");
-        FlatStoreSink sink(flat);
-        MakeWorkflowBlocker(options)->BuildInto(
-            collection, block_threads > 1 ? impl->pool.get() : nullptr, sink);
-      }
-      impl->blocks_built = flat.num_blocks();
-      impl->EmitPhase(
-          {"blocking", watch.ElapsedMillis(), impl->blocks_built});
+    ThreadPool* blocking_pool = block_threads > 1 ? impl->pool.get() : nullptr;
+    watch.Restart();
+    BlockCollection blocks;
+    {
+      obs::PhaseSpan span(impl->trace.get(), "blocking");
+      BlockCollectionSink sink(blocks, /*keyed=*/false);
+      MakeWorkflowBlocker(options)->BuildInto(collection, blocking_pool, sink);
+    }
+    impl->blocks_built = blocks.num_blocks();
+    impl->EmitPhase({"blocking", watch.ElapsedMillis(), impl->blocks_built});
 
-      watch.Restart();
-      {
-        obs::PhaseSpan span(impl->trace.get(), "block-cleaning");
-        ThreadPool* cleaning_pool =
-            block_threads > 1 ? impl->pool.get() : nullptr;
-        if (options.auto_purge) {
-          AutoPurgeFlat(flat, collection, options.meta.mode,
-                        /*smoothing=*/1.025, cleaning_pool);
-        }
-        if (options.filter_ratio > 0.0 && options.filter_ratio < 1.0) {
-          FilterBlocksFlat(flat, options.filter_ratio, collection,
-                           options.meta.mode, cleaning_pool);
-        }
-        impl->blocks_after_cleaning = flat.num_blocks();
-        impl->comparisons_before_meta =
-            flat.AggregateComparisons(collection, options.meta.mode);
+    watch.Restart();
+    {
+      obs::PhaseSpan span(impl->trace.get(), "block-cleaning");
+      if (options.auto_purge) {
+        AutoPurge(blocks, collection, options.meta.mode, /*smoothing=*/1.025,
+                  blocking_pool);
       }
-      impl->EmitPhase({"block-cleaning", watch.ElapsedMillis(),
-                       impl->blocks_after_cleaning});
-
-      watch.Restart();
-      {
-        obs::PhaseSpan span(impl->trace.get(), "meta-blocking");
-        if (options.enable_meta_blocking) {
-          MetaBlocking meta(meta_options);
-          candidates =
-              impl->pool && meta_threads > 1
-                  ? meta.Prune(flat, collection, *impl->pool,
-                               &impl->meta_stats)
-                  : meta.Prune(flat, collection, &impl->meta_stats);
-        } else {
-          // Distinct comparisons with CBS weights (no pruning).
-          flat.BuildEntityIndex(collection.num_entities());
-          for (const Comparison& c :
-               flat.DistinctComparisons(collection, options.meta.mode)) {
-            candidates.push_back({c.a, c.b, 1.0});
-          }
-        }
+      if (options.filter_ratio > 0.0 && options.filter_ratio < 1.0) {
+        FilterBlocks(blocks, options.filter_ratio, collection,
+                     options.meta.mode, blocking_pool);
       }
-    } else {
-      watch.Restart();
-      BlockCollection raw = [&] {
-        obs::PhaseSpan span(impl->trace.get(), "blocking");
-        return MakeWorkflowBlocker(options)->Build(
-            collection, block_threads > 1 ? impl->pool.get() : nullptr);
-      }();
-      impl->blocks_built = raw.num_blocks();
-      impl->EmitPhase(
-          {"blocking", watch.ElapsedMillis(), impl->blocks_built});
+      impl->blocks_after_cleaning = blocks.num_blocks();
+      impl->comparisons_before_meta =
+          blocks.AggregateComparisons(collection, options.meta.mode);
+    }
+    impl->EmitPhase({"block-cleaning", watch.ElapsedMillis(),
+                     impl->blocks_after_cleaning});
 
-      watch.Restart();
-      {
-        obs::PhaseSpan span(impl->trace.get(), "block-cleaning");
-        ThreadPool* cleaning_pool =
-            block_threads > 1 ? impl->pool.get() : nullptr;
-        if (options.auto_purge) {
-          AutoPurge(raw, collection, options.meta.mode, /*smoothing=*/1.025,
-                    cleaning_pool);
-        }
-        if (options.filter_ratio > 0.0 && options.filter_ratio < 1.0) {
-          FilterBlocks(raw, options.filter_ratio, collection,
-                       options.meta.mode, cleaning_pool);
-        }
-        impl->blocks_after_cleaning = raw.num_blocks();
-        impl->comparisons_before_meta =
-            raw.AggregateComparisons(collection, options.meta.mode);
-      }
-      impl->EmitPhase({"block-cleaning", watch.ElapsedMillis(),
-                       impl->blocks_after_cleaning});
-
-      watch.Restart();
-      {
-        obs::PhaseSpan span(impl->trace.get(), "meta-blocking");
-        if (options.enable_meta_blocking) {
-          MetaBlocking meta(meta_options);
-          candidates =
-              impl->pool && meta_threads > 1
-                  ? meta.Prune(raw, collection, *impl->pool,
-                               &impl->meta_stats)
-                  : meta.Prune(raw, collection, &impl->meta_stats);
-        } else {
-          // Distinct comparisons with CBS weights (no pruning).
-          raw.BuildEntityIndex(collection.num_entities());
-          for (const Comparison& c :
-               raw.DistinctComparisons(collection, options.meta.mode)) {
-            candidates.push_back({c.a, c.b, 1.0});
-          }
+    watch.Restart();
+    {
+      obs::PhaseSpan span(impl->trace.get(), "meta-blocking");
+      if (options.enable_meta_blocking) {
+        MetaBlocking meta(meta_options);
+        candidates = impl->pool && meta_threads > 1
+                         ? meta.Prune(blocks, collection, *impl->pool,
+                                      &impl->meta_stats)
+                         : meta.Prune(blocks, collection, &impl->meta_stats);
+      } else {
+        // Distinct comparisons with CBS weights (no pruning).
+        for (const Comparison& c :
+             blocks.DistinctComparisons(collection, options.meta.mode)) {
+          candidates.push_back({c.a, c.b, 1.0});
         }
       }
     }

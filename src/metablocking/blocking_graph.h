@@ -1,9 +1,9 @@
 // Copyright 2026 The MinoanER Authors.
 // The implicit blocking graph: neighbor streaming and edge weighting.
 //
-// Shared by the sequential MetaBlocking driver and the MapReduce-parallel
-// implementation (each worker owns a private NeighborScratch; the view
-// itself is immutable after construction and safe to share across threads).
+// Shared by the inline and the pooled pruning paths (each worker owns a
+// private NeighborScratch; the view itself is immutable after construction
+// and safe to share across threads).
 
 #ifndef MINOAN_METABLOCKING_BLOCKING_GRAPH_H_
 #define MINOAN_METABLOCKING_BLOCKING_GRAPH_H_
@@ -12,35 +12,10 @@
 #include <vector>
 
 #include "blocking/block.h"
-#include "blocking/flat_block_store.h"
 #include "kb/collection.h"
 #include "metablocking/meta_blocking_types.h"
 
 namespace minoan {
-
-/// Store adapters: the graph view reads blocks through these two overload
-/// sets so one implementation serves both the keyed BlockCollection and the
-/// out-of-core FlatBlockStore.
-inline std::span<const EntityId> GraphBlockEntities(
-    const BlockCollection& blocks, uint32_t bi) {
-  return blocks.block(bi).entities;
-}
-inline std::span<const EntityId> GraphBlockEntities(
-    const FlatBlockStore& blocks, uint32_t bi) {
-  return blocks.entities(bi);
-}
-inline uint64_t GraphBlockComparisons(const BlockCollection& blocks,
-                                      uint32_t bi,
-                                      const EntityCollection& collection,
-                                      ResolutionMode mode) {
-  return blocks.block(bi).NumComparisons(collection, mode);
-}
-inline uint64_t GraphBlockComparisons(const FlatBlockStore& blocks,
-                                      uint32_t bi,
-                                      const EntityCollection& collection,
-                                      ResolutionMode mode) {
-  return blocks.NumComparisons(bi, collection, mode);
-}
 
 /// Per-thread scratch space for stamp-array neighbor deduplication. Each
 /// ForNeighbors call gets a fresh generation stamp, so the arrays never need
@@ -88,21 +63,10 @@ class BlockingGraphView {
                     WeightingScheme weighting, ResolutionMode mode,
                     ThreadPool* pool = nullptr);
 
-  /// Same view over the out-of-core FlatBlockStore (the budgeted pipeline).
-  /// All derived quantities — ARCS terms, node counts, EJS degrees — come
-  /// out identical to a BlockCollection holding the same blocks in the same
-  /// order, so downstream pruning is store-agnostic.
-  BlockingGraphView(FlatBlockStore& blocks, const EntityCollection& collection,
-                    WeightingScheme weighting, ResolutionMode mode,
-                    ThreadPool* pool = nullptr);
-
   double num_blocks() const { return num_blocks_; }
   double num_nodes() const { return num_nodes_; }
   WeightingScheme weighting() const { return weighting_; }
   ResolutionMode mode() const { return mode_; }
-  /// The backing BlockCollection; valid only for collection-backed views
-  /// (flat-store views expose blocks solely through ForNeighbors).
-  const BlockCollection& blocks() const { return *blocks_; }
   const EntityCollection& collection() const { return *collection_; }
 
   /// Weight of edge (a, b) given its common-block count and ARCS sum.
@@ -115,28 +79,6 @@ class BlockingGraphView {
   template <typename Fn>
   void ForNeighbors(NeighborScratch& scratch, EntityId e, bool only_greater,
                     const Fn& fn) const {
-    if (flat_ != nullptr) {
-      ForNeighborsOver(*flat_, scratch, e, only_greater, fn);
-    } else {
-      ForNeighborsOver(*blocks_, scratch, e, only_greater, fn);
-    }
-  }
-
-  /// Weight of the single edge (a, b), or 0 when the edge is absent (no
-  /// common block; same-KB pair in clean-clean mode). Scans only a's blocks
-  /// and tests each for b's membership — O(Σ_{β ∈ B_a} |β|) worst case,
-  /// stopping each block scan at the first hit — instead of materializing
-  /// a's whole neighborhood the way a ForNeighbors pass would. Needs no
-  /// scratch, so point probes stay cheap for per-candidate callers.
-  double PairWeight(EntityId a, EntityId b) const;
-
-  /// Total block assignments Σ|b| (the BC quantity of cardinality pruning).
-  uint64_t total_block_assignments() const { return total_assignments_; }
-
- private:
-  template <typename Store, typename Fn>
-  void ForNeighborsOver(const Store& store, NeighborScratch& scratch,
-                        EntityId e, bool only_greater, const Fn& fn) const {
     auto& stamp = scratch.stamp();
     auto& common = scratch.common();
     auto& arcs = scratch.arcs();
@@ -144,9 +86,9 @@ class BlockingGraphView {
     const uint64_t generation = scratch.NextGeneration();
     neighbors.clear();
     const bool clean = mode_ == ResolutionMode::kCleanClean;
-    for (uint32_t bi : store.BlocksOf(e)) {
+    for (uint32_t bi : blocks_->BlocksOf(e)) {
       const double arc = arcs_term_[bi];
-      for (EntityId n : GraphBlockEntities(store, bi)) {
+      for (EntityId n : blocks_->entities(bi)) {
         if (n == e) continue;
         if (only_greater && n < e) continue;
         if (clean && !collection_->CrossKb(e, n)) continue;
@@ -166,19 +108,21 @@ class BlockingGraphView {
     }
   }
 
-  template <typename Store>
-  void Init(Store& blocks, ThreadPool* pool);
+  /// Weight of the single edge (a, b), or 0 when the edge is absent (no
+  /// common block; same-KB pair in clean-clean mode). Scans only a's blocks
+  /// and tests each for b's membership — O(Σ_{β ∈ B_a} |β|) worst case,
+  /// stopping each block scan at the first hit — instead of materializing
+  /// a's whole neighborhood the way a ForNeighbors pass would. Needs no
+  /// scratch, so point probes stay cheap for per-candidate callers.
+  double PairWeight(EntityId a, EntityId b) const;
 
-  template <typename Store>
-  double PairWeightOver(const Store& store, EntityId a, EntityId b) const;
+  /// Total block assignments Σ|b| (the BC quantity of cardinality pruning).
+  uint64_t total_block_assignments() const { return total_assignments_; }
 
-  size_t NumBlocksOf(EntityId e) const {
-    return flat_ != nullptr ? flat_->BlocksOf(e).size()
-                            : blocks_->BlocksOf(e).size();
-  }
+ private:
+  size_t NumBlocksOf(EntityId e) const { return blocks_->BlocksOf(e).size(); }
 
-  const BlockCollection* blocks_ = nullptr;
-  const FlatBlockStore* flat_ = nullptr;
+  const BlockCollection* blocks_;
   const EntityCollection* collection_;
   WeightingScheme weighting_;
   ResolutionMode mode_;

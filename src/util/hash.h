@@ -1,5 +1,5 @@
 // Copyright 2026 The MinoanER Authors.
-// Hashing helpers shared by interner, blocking, and MapReduce partitioners.
+// Hashing helpers shared by interner, blocking, and shard partitioners.
 
 #ifndef MINOAN_UTIL_HASH_H_
 #define MINOAN_UTIL_HASH_H_
@@ -11,7 +11,7 @@
 namespace minoan {
 
 /// 64-bit FNV-1a over bytes. Stable across platforms and runs — block keys,
-/// MapReduce partitions, and generator decisions all depend on this, so it
+/// shard partitions, and generator decisions all depend on this, so it
 /// must never be replaced by std::hash (which is allowed to vary per process).
 inline uint64_t Fnv1a64(std::string_view bytes) {
   uint64_t h = 0xcbf29ce484222325ULL;

@@ -51,21 +51,20 @@ EntityId Find(const EntityCollection& c, std::string_view iri) {
 
 TEST(BlockTest, DirtyComparisonsIsChoose2) {
   EntityCollection c = TinyCollection();
-  Block b;
-  b.entities = {0, 1, 2, 3};
-  EXPECT_EQ(b.NumComparisons(c, ResolutionMode::kDirty), 6u);
+  BlockCollection blocks;
+  blocks.AddBlock("b", {0, 1, 2, 3});
+  EXPECT_EQ(blocks.NumComparisons(0, c, ResolutionMode::kDirty), 6u);
 }
 
 TEST(BlockTest, CleanCleanComparisonsCrossKbOnly) {
   EntityCollection c = TinyCollection();
   // Entities 0..2 are in KB a, 3..4 in KB b.
-  Block b;
-  b.entities = {0, 1, 3};
+  BlockCollection blocks;
+  blocks.AddBlock("b", {0, 1, 3});
+  blocks.AddBlock("same_kb", {0, 1, 2});
   // pairs: (0,3), (1,3) cross; (0,1) same-KB.
-  EXPECT_EQ(b.NumComparisons(c, ResolutionMode::kCleanClean), 2u);
-  Block same_kb;
-  same_kb.entities = {0, 1, 2};
-  EXPECT_EQ(same_kb.NumComparisons(c, ResolutionMode::kCleanClean), 0u);
+  EXPECT_EQ(blocks.NumComparisons(0, c, ResolutionMode::kCleanClean), 2u);
+  EXPECT_EQ(blocks.NumComparisons(1, c, ResolutionMode::kCleanClean), 0u);
 }
 
 TEST(BlockCollectionTest, AddBlockDropsSingletonsAndDupes) {
@@ -73,8 +72,9 @@ TEST(BlockCollectionTest, AddBlockDropsSingletonsAndDupes) {
   blocks.AddBlock("solo", {4});
   blocks.AddBlock("dupes", {2, 2, 1});
   ASSERT_EQ(blocks.num_blocks(), 1u);
-  EXPECT_EQ(blocks.block(0).entities, (std::vector<EntityId>{1, 2}));
-  EXPECT_EQ(blocks.KeyString(blocks.block(0).key), "dupes");
+  EXPECT_TRUE(
+      std::ranges::equal(blocks.entities(0), std::vector<EntityId>{1, 2}));
+  EXPECT_EQ(blocks.KeyString(0), "dupes");
 }
 
 TEST(BlockCollectionTest, DistinctComparisonsDedupesAcrossBlocks) {
@@ -122,11 +122,9 @@ TEST(TokenBlockingTest, SharedTokenCreatesBlock) {
   const EntityId ha = Find(c, "http://a/r/heraklion");
   const EntityId hb = Find(c, "http://b/x/h1");
   bool together = false;
-  for (const Block& b : blocks.blocks()) {
-    const bool has_a = std::binary_search(b.entities.begin(),
-                                          b.entities.end(), ha);
-    const bool has_b = std::binary_search(b.entities.begin(),
-                                          b.entities.end(), hb);
+  for (uint32_t bi = 0; bi < blocks.num_blocks(); ++bi) {
+    const bool has_a = std::ranges::binary_search(blocks.entities(bi), ha);
+    const bool has_b = std::ranges::binary_search(blocks.entities(bi), hb);
     if (has_a && has_b) together = true;
   }
   EXPECT_TRUE(together);
@@ -136,8 +134,8 @@ TEST(TokenBlockingTest, MinDfFiltersUniqueTokens) {
   EntityCollection c = TinyCollection();
   TokenBlocking blocking;  // min_df = 2
   BlockCollection blocks = blocking.Build(c);
-  for (const Block& b : blocks.blocks()) {
-    EXPECT_GE(b.size(), 2u);
+  for (uint32_t bi = 0; bi < blocks.num_blocks(); ++bi) {
+    EXPECT_GE(blocks.block_size(bi), 2u);
   }
 }
 
@@ -158,8 +156,8 @@ TEST(TokenBlockingTest, MaxDfDropsStopTokens) {
   opts.max_df_fraction = 0.5;
   TokenBlocking blocking(opts);
   BlockCollection blocks = blocking.Build(c);
-  for (const Block& b : blocks.blocks()) {
-    EXPECT_NE(blocks.KeyString(b.key), "common");
+  for (uint32_t bi = 0; bi < blocks.num_blocks(); ++bi) {
+    EXPECT_NE(blocks.KeyString(bi), "common");
   }
 }
 
@@ -221,10 +219,10 @@ TEST(PisBlockingTest, SharedSuffixCreatesBlock) {
   PisBlocking blocking;
   BlockCollection blocks = blocking.Build(c);
   bool suffix_block = false;
-  for (const Block& b : blocks.blocks()) {
-    if (blocks.KeyString(b.key) == "sfx:Heraklion") {
+  for (uint32_t bi = 0; bi < blocks.num_blocks(); ++bi) {
+    if (blocks.KeyString(bi) == "sfx:Heraklion") {
       suffix_block = true;
-      EXPECT_EQ(b.size(), 2u);
+      EXPECT_EQ(blocks.block_size(bi), 2u);
     }
   }
   EXPECT_TRUE(suffix_block);
@@ -243,8 +241,8 @@ TEST(PisBlockingTest, InfixOptional) {
   PisBlocking blocking(opts);
   BlockCollection blocks = blocking.Build(c);
   bool infix_block = false;
-  for (const Block& b : blocks.blocks()) {
-    if (blocks.KeyString(b.key) == "ifx:/res") infix_block = true;
+  for (uint32_t bi = 0; bi < blocks.num_blocks(); ++bi) {
+    if (blocks.KeyString(bi) == "ifx:/res") infix_block = true;
   }
   EXPECT_TRUE(infix_block);
 }
@@ -263,8 +261,8 @@ TEST(PisBlockingTest, CatchesMatchesWithDisjointValues) {
   BlockCollection blocks = blocking.Build(c);
   EXPECT_GT(blocks.num_blocks(), 0u);
   bool together = false;
-  for (const Block& b : blocks.blocks()) {
-    if (b.size() == 2) together = true;
+  for (uint32_t bi = 0; bi < blocks.num_blocks(); ++bi) {
+    if (blocks.block_size(bi) == 2) together = true;
   }
   EXPECT_TRUE(together);
 }
@@ -320,8 +318,8 @@ TEST(AttrClusteringTest, BlocksKeyedByClusterAndToken) {
   AttributeClusteringBlocking blocking;
   BlockCollection blocks = blocking.Build(c);
   ASSERT_GT(blocks.num_blocks(), 0u);
-  for (const Block& b : blocks.blocks()) {
-    EXPECT_EQ(blocks.KeyString(b.key).substr(0, 1), "c");
+  for (uint32_t bi = 0; bi < blocks.num_blocks(); ++bi) {
+    EXPECT_EQ(blocks.KeyString(bi).substr(0, 1), "c");
   }
 }
 
@@ -350,8 +348,8 @@ TEST(CompositeBlockingTest, UnionOfMethods) {
   EXPECT_GE(combined.num_blocks(), token_only.num_blocks());
   // Keys carry the method prefix.
   bool token_prefixed = false, pis_prefixed = false;
-  for (const Block& b : combined.blocks()) {
-    const auto key = combined.KeyString(b.key);
+  for (uint32_t bi = 0; bi < combined.num_blocks(); ++bi) {
+    const auto key = combined.KeyString(bi);
     if (key.substr(0, 6) == "token:") token_prefixed = true;
     if (key.substr(0, 4) == "pis:") pis_prefixed = true;
   }
@@ -379,8 +377,8 @@ TEST(PurgingTest, PurgeBySizeDropsLargeBlocks) {
   EXPECT_EQ(stats.blocks_before, 3u);
   EXPECT_EQ(stats.blocks_after, 2u);
   EXPECT_LT(stats.comparisons_after, stats.comparisons_before);
-  for (const Block& b : blocks.blocks()) {
-    EXPECT_LE(b.size(), 3u);
+  for (uint32_t bi = 0; bi < blocks.num_blocks(); ++bi) {
+    EXPECT_LE(blocks.block_size(bi), 3u);
   }
 }
 
@@ -416,10 +414,9 @@ TEST(FilteringTest, KeepsSmallestBlocksPerEntity) {
   // Entity 3 sits in all three blocks; ratio 0.5 keeps ceil(1.5) = 2 of its
   // smallest, so the "huge" block must lose it.
   FilterBlocks(blocks, 0.5, c, ResolutionMode::kDirty);
-  for (const Block& b : blocks.blocks()) {
-    if (blocks.KeyString(b.key) == "huge") {
-      EXPECT_FALSE(std::binary_search(b.entities.begin(), b.entities.end(),
-                                      EntityId{3}))
+  for (uint32_t bi = 0; bi < blocks.num_blocks(); ++bi) {
+    if (blocks.KeyString(bi) == "huge") {
+      EXPECT_FALSE(std::ranges::binary_search(blocks.entities(bi), EntityId{3}))
           << "entity 3's largest block must lose it";
     }
   }

@@ -43,9 +43,9 @@ TEST(QGramBlockingTest, TypoedTokensStillShareBlocks) {
   const EntityId a1 = c.FindByIri("http://a/1");
   const EntityId b1 = c.FindByIri("http://b/1");
   bool token_together = false;
-  for (const Block& b : token_blocks.blocks()) {
-    if (std::binary_search(b.entities.begin(), b.entities.end(), a1) &&
-        std::binary_search(b.entities.begin(), b.entities.end(), b1)) {
+  for (uint32_t bi = 0; bi < token_blocks.num_blocks(); ++bi) {
+    if (std::ranges::binary_search(token_blocks.entities(bi), a1) &&
+        std::ranges::binary_search(token_blocks.entities(bi), b1)) {
       token_together = true;
     }
   }
@@ -55,9 +55,9 @@ TEST(QGramBlockingTest, TypoedTokensStillShareBlocks) {
   opts.max_df_fraction = 1.0;
   BlockCollection gram_blocks = QGramBlocking(opts).Build(c);
   bool gram_together = false;
-  for (const Block& b : gram_blocks.blocks()) {
-    if (std::binary_search(b.entities.begin(), b.entities.end(), a1) &&
-        std::binary_search(b.entities.begin(), b.entities.end(), b1)) {
+  for (uint32_t bi = 0; bi < gram_blocks.num_blocks(); ++bi) {
+    if (std::ranges::binary_search(gram_blocks.entities(bi), a1) &&
+        std::ranges::binary_search(gram_blocks.entities(bi), b1)) {
       gram_together = true;
     }
   }
@@ -75,8 +75,8 @@ TEST(QGramBlockingTest, ShortTokensUsedWhole) {
   opts.max_df_fraction = 1.0;
   BlockCollection blocks = QGramBlocking(opts).Build(c);
   bool found_ab = false;
-  for (const Block& b : blocks.blocks()) {
-    if (blocks.KeyString(b.key) == "g:ab") found_ab = true;
+  for (uint32_t bi = 0; bi < blocks.num_blocks(); ++bi) {
+    if (blocks.KeyString(bi) == "g:ab") found_ab = true;
   }
   EXPECT_TRUE(found_ab);
 }
@@ -111,8 +111,8 @@ TEST(QGramBlockingTest, DeterministicBlockOrder) {
   const BlockCollection b = QGramBlocking().Build(*c);
   ASSERT_EQ(a.num_blocks(), b.num_blocks());
   for (size_t i = 0; i < a.num_blocks(); ++i) {
-    EXPECT_EQ(a.KeyString(a.block(i).key), b.KeyString(b.block(i).key));
-    EXPECT_EQ(a.block(i).entities, b.block(i).entities);
+    EXPECT_EQ(a.KeyString(i), b.KeyString(i));
+    EXPECT_TRUE(std::ranges::equal(a.entities(i), b.entities(i)));
   }
 }
 
@@ -133,9 +133,9 @@ TEST(SortedNeighborhoodTest, AdjacentKeysShareWindows) {
   const EntityId e1 = c.FindByIri("http://a/1");
   const EntityId e2 = c.FindByIri("http://a/2");
   bool together = false;
-  for (const Block& b : blocks.blocks()) {
-    if (std::binary_search(b.entities.begin(), b.entities.end(), e1) &&
-        std::binary_search(b.entities.begin(), b.entities.end(), e2)) {
+  for (uint32_t bi = 0; bi < blocks.num_blocks(); ++bi) {
+    if (std::ranges::binary_search(blocks.entities(bi), e1) &&
+        std::ranges::binary_search(blocks.entities(bi), e2)) {
       together = true;
     }
   }
@@ -155,8 +155,8 @@ TEST(SortedNeighborhoodTest, WindowBoundsBlockSize) {
   opts.window_size = 6;
   BlockCollection blocks = SortedNeighborhoodBlocking(opts).Build(*c);
   EXPECT_GT(blocks.num_blocks(), 0u);
-  for (const Block& b : blocks.blocks()) {
-    EXPECT_LE(b.size(), 6u);
+  for (uint32_t bi = 0; bi < blocks.num_blocks(); ++bi) {
+    EXPECT_LE(blocks.block_size(bi), 6u);
   }
 }
 

@@ -1,5 +1,5 @@
-// Tests for the extension features: B-cubed cluster metrics, parallel batch
-// matching, and warm-start (seeded) progressive resolution.
+// Tests for the extension features: B-cubed cluster metrics and warm-start
+// (seeded) progressive resolution.
 
 #include <memory>
 #include <set>
@@ -11,7 +11,6 @@
 #include "eval/ground_truth.h"
 #include "eval/metrics.h"
 #include "gtest/gtest.h"
-#include "mapreduce/parallel_matching.h"
 #include "metablocking/meta_blocking.h"
 #include "progressive/resolver.h"
 #include "util/hash.h"
@@ -70,72 +69,6 @@ TEST(BCubedTest, PartialMergePartialScores) {
   EXPECT_DOUBLE_EQ(m.bcubed_precision, 1.0);
   // recall: e0: 2/3, e1: 2/3, e2: 1/3 -> mean 5/9.
   EXPECT_NEAR(m.bcubed_recall, 5.0 / 9.0, 1e-12);
-}
-
-// ---------------------------------------------------------------------------
-// Parallel batch matching
-// ---------------------------------------------------------------------------
-
-struct MatchWorld {
-  std::unique_ptr<EntityCollection> collection;
-  std::unique_ptr<SimilarityEvaluator> evaluator;
-  std::vector<WeightedComparison> candidates;
-};
-
-MatchWorld MakeMatchWorld() {
-  datagen::LodCloudConfig cfg;
-  cfg.seed = 501;
-  cfg.num_real_entities = 300;
-  cfg.num_kbs = 4;
-  cfg.center_kbs = 2;
-  auto cloud = datagen::GenerateLodCloud(cfg);
-  EXPECT_TRUE(cloud.ok());
-  auto collection_result = cloud->BuildCollection();
-  EXPECT_TRUE(collection_result.ok());
-  auto collection = std::make_unique<EntityCollection>(
-      std::move(collection_result).value());
-  BlockCollection blocks = TokenBlocking().Build(*collection);
-  auto candidates = MetaBlocking().Prune(blocks, *collection);
-  auto evaluator = std::make_unique<SimilarityEvaluator>(*collection);
-  return MatchWorld{std::move(collection), std::move(evaluator),
-                    std::move(candidates)};
-}
-
-TEST(ParallelMatchingTest, MatchesSequentialBatchMatcher) {
-  MatchWorld w = MakeMatchWorld();
-  MatcherOptions mopts;
-  mopts.threshold = 0.35;
-  BatchMatcher sequential(*w.evaluator, mopts);
-  std::vector<Comparison> order;
-  for (const auto& c : w.candidates) order.emplace_back(c.a, c.b);
-  const ResolutionRun seq = sequential.Run(order);
-
-  std::set<uint64_t> seq_pairs;
-  for (const MatchEvent& m : seq.matches) {
-    seq_pairs.insert(PairKey(m.a, m.b));
-  }
-  for (uint32_t workers : {1u, 8u}) {
-    mapreduce::Engine engine(workers);
-    const ResolutionRun par = mapreduce::ParallelBatchMatching(
-        w.candidates, *w.evaluator, 0.35, engine);
-    std::set<uint64_t> par_pairs;
-    for (const MatchEvent& m : par.matches) {
-      par_pairs.insert(PairKey(m.a, m.b));
-    }
-    EXPECT_EQ(par_pairs, seq_pairs) << workers << " workers";
-    EXPECT_EQ(par.comparisons_executed, w.candidates.size());
-  }
-}
-
-TEST(ParallelMatchingTest, MatchesSortedByPairId) {
-  MatchWorld w = MakeMatchWorld();
-  mapreduce::Engine engine(4);
-  const ResolutionRun run = mapreduce::ParallelBatchMatching(
-      w.candidates, *w.evaluator, 0.35, engine);
-  for (size_t i = 1; i < run.matches.size(); ++i) {
-    EXPECT_LT(PairKey(run.matches[i - 1].a, run.matches[i - 1].b),
-              PairKey(run.matches[i].a, run.matches[i].b));
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -5,9 +5,12 @@
 // every thread count (1/2/4/7), on a generated LOD corpus large enough to
 // span several fixed-size work chunks.
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "blocking/block_cleaning.h"
@@ -17,8 +20,6 @@
 #include "core/session.h"
 #include "datagen/lod_generator.h"
 #include "gtest/gtest.h"
-#include "mapreduce/engine.h"
-#include "mapreduce/parallel_blocking.h"
 #include "metablocking/blocking_graph.h"
 #include "metablocking/meta_blocking.h"
 #include "metablocking/sharded_prune.h"
@@ -28,26 +29,67 @@
 namespace minoan {
 namespace {
 
-/// True when two block collections are identical: same blocks, same keys,
-/// same entity lists, same order.
-::testing::AssertionResult SameBlocks(const BlockCollection& a,
-                                      const BlockCollection& b) {
+/// True when two block collections hold the same entity membership: same
+/// block count and the same entity list per block, in order — i.e. the same
+/// CSR offsets and entity array. Keys are not compared.
+::testing::AssertionResult SameMembership(const BlockCollection& a,
+                                          const BlockCollection& b) {
   if (a.num_blocks() != b.num_blocks()) {
     return ::testing::AssertionFailure()
            << "block count mismatch: " << a.num_blocks() << " vs "
            << b.num_blocks();
   }
-  for (size_t i = 0; i < a.num_blocks(); ++i) {
-    if (a.KeyString(a.block(i).key) != b.KeyString(b.block(i).key)) {
+  for (uint32_t i = 0; i < a.num_blocks(); ++i) {
+    if (!std::ranges::equal(a.entities(i), b.entities(i))) {
       return ::testing::AssertionFailure()
-             << "block " << i << " key mismatch: \""
-             << a.KeyString(a.block(i).key) << "\" vs \""
-             << b.KeyString(b.block(i).key) << "\"";
+             << "block " << i << " entity list mismatch";
     }
-    if (a.block(i).entities != b.block(i).entities) {
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// True when two keyed block collections are identical: same blocks, same
+/// keys, same entity lists, same order.
+::testing::AssertionResult SameBlocks(const BlockCollection& a,
+                                      const BlockCollection& b) {
+  if (::testing::AssertionResult same = SameMembership(a, b); !same) {
+    return same;
+  }
+  for (uint32_t i = 0; i < a.num_blocks(); ++i) {
+    if (a.KeyString(i) != b.KeyString(i)) {
       return ::testing::AssertionFailure()
-             << "block " << i << " (\"" << a.KeyString(a.block(i).key)
-             << "\") entity list mismatch";
+             << "block " << i << " key mismatch: \"" << a.KeyString(i)
+             << "\" vs \"" << b.KeyString(i) << "\"";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// True when every block of `cleaned` still carries the key of the `raw`
+/// block it was cleaned from. Keys name blocks uniquely, and cleaning only
+/// drops blocks or entities, so the raw block under a cleaned block's key
+/// must contain all of the cleaned block's entities.
+::testing::AssertionResult KeysFollowBlocks(const BlockCollection& raw,
+                                            const BlockCollection& cleaned) {
+  std::unordered_map<std::string_view, uint32_t> raw_block;
+  for (uint32_t i = 0; i < raw.num_blocks(); ++i) {
+    if (!raw_block.emplace(raw.KeyString(i), i).second) {
+      return ::testing::AssertionFailure()
+             << "duplicate key \"" << raw.KeyString(i) << "\"";
+    }
+  }
+  for (uint32_t i = 0; i < cleaned.num_blocks(); ++i) {
+    const std::string_view key = cleaned.KeyString(i);
+    const auto it = raw_block.find(key);
+    if (it == raw_block.end()) {
+      return ::testing::AssertionFailure()
+             << "cleaned block " << i << " has unknown key \"" << key << "\"";
+    }
+    if (!std::ranges::includes(raw.entities(it->second),
+                               cleaned.entities(i))) {
+      return ::testing::AssertionFailure()
+             << "cleaned block " << i << " (\"" << key
+             << "\") is not a subset of the raw block with that key";
     }
   }
   return ::testing::AssertionSuccess();
@@ -120,6 +162,25 @@ TEST_F(ParallelBlockingTest, EveryMethodIsByteIdenticalAcrossThreadCounts) {
   for (const auto& method : methods) {
     const BlockCollection sequential = method->Build(*collection_);
     EXPECT_GT(sequential.num_blocks(), 0u) << method->name();
+
+    // The keyless store the session pipeline builds holds the same CSR.
+    BlockCollection keyless;
+    BlockCollectionSink keyless_sink(keyless, /*keyed=*/false);
+    method->BuildInto(*collection_, nullptr, keyless_sink);
+    EXPECT_TRUE(SameMembership(sequential, keyless)) << method->name();
+
+    // Keys follow their blocks through AutoPurge's in-place filter and
+    // FilterBlocks' rebuild, and the key side array never changes what
+    // cleaning keeps.
+    BlockCollection cleaned = sequential;
+    for (BlockCollection* store : {&cleaned, &keyless}) {
+      AutoPurge(*store, *collection_, ResolutionMode::kCleanClean);
+      FilterBlocks(*store, 0.8, *collection_, ResolutionMode::kCleanClean);
+    }
+    EXPECT_GT(cleaned.num_blocks(), 0u) << method->name();
+    EXPECT_TRUE(KeysFollowBlocks(sequential, cleaned)) << method->name();
+    EXPECT_TRUE(SameMembership(cleaned, keyless)) << method->name();
+
     for (uint32_t threads : {2u, 4u, 7u}) {
       ThreadPool pool(threads);
       const BlockCollection parallel = method->Build(*collection_, &pool);
@@ -189,26 +250,6 @@ TEST_F(ParallelBlockingTest, PoolReuseAcrossBuildsIsSafe) {
   const BlockCollection pis = PisBlocking().Build(*collection_, &pool);
   EXPECT_TRUE(SameBlocks(first, second));
   EXPECT_GT(pis.num_blocks(), 0u);
-}
-
-TEST_F(ParallelBlockingTest, MapReducePisBlockingMatchesSequential) {
-  const BlockCollection sequential = PisBlocking().Build(*collection_);
-  for (uint32_t workers : {1u, 4u}) {
-    mapreduce::Engine engine(workers);
-    const BlockCollection parallel =
-        mapreduce::ParallelPisBlocking(*collection_, engine);
-    EXPECT_TRUE(SameBlocks(sequential, parallel)) << workers << " workers";
-  }
-}
-
-TEST_F(ParallelBlockingTest, MapReduceTokenBlockingMatchesSequential) {
-  const BlockCollection sequential = TokenBlocking().Build(*collection_);
-  for (uint32_t workers : {1u, 4u}) {
-    mapreduce::Engine engine(workers);
-    const BlockCollection parallel =
-        mapreduce::ParallelTokenBlocking(*collection_, engine);
-    EXPECT_TRUE(SameBlocks(sequential, parallel)) << workers << " workers";
-  }
 }
 
 // ---------------------------------------------------------------------------

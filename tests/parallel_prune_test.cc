@@ -11,8 +11,6 @@
 #include "blocking/blocking_method.h"
 #include "datagen/lod_generator.h"
 #include "gtest/gtest.h"
-#include "mapreduce/engine.h"
-#include "mapreduce/parallel_meta_blocking.h"
 #include "metablocking/blocking_graph.h"
 #include "metablocking/meta_blocking.h"
 #include "metablocking/sharded_prune.h"
@@ -117,21 +115,6 @@ TEST_P(ShardedParity, ParallelPruningIsByteIdentical) {
     EXPECT_EQ(seq_stats.graph_edges, par_stats.graph_edges);
     EXPECT_EQ(seq_stats.mean_weight, par_stats.mean_weight);
     EXPECT_EQ(seq_stats.nominations, par_stats.nominations);
-  }
-}
-
-TEST_P(ShardedParity, MapReducePathIsByteIdentical) {
-  MetaBlockingOptions opts;
-  opts.weighting = GetParam().weighting;
-  opts.pruning = GetParam().pruning;
-  opts.reciprocal = GetParam().reciprocal;
-
-  const auto sequential = MetaBlocking(opts).Prune(*blocks_, *collection_);
-  for (uint32_t workers : {1u, 4u}) {
-    mapreduce::Engine engine(workers);
-    const auto parallel = mapreduce::ParallelMetaBlocking(
-        *blocks_, *collection_, opts, engine);
-    EXPECT_TRUE(ByteIdentical(sequential, parallel)) << workers << " workers";
   }
 }
 

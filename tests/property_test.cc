@@ -69,11 +69,11 @@ TEST_P(SeedSweep, BlockingInvariants) {
 
   BlockCollection blocks = TokenBlocking().Build(*collection);
   // Every block: >= 2 sorted unique entities; aggregate >= distinct.
-  for (const Block& b : blocks.blocks()) {
+  for (uint32_t bi = 0; bi < blocks.num_blocks(); ++bi) {
+    const std::span<const EntityId> b = blocks.entities(bi);
     EXPECT_GE(b.size(), 2u);
-    EXPECT_TRUE(std::is_sorted(b.entities.begin(), b.entities.end()));
-    EXPECT_EQ(std::adjacent_find(b.entities.begin(), b.entities.end()),
-              b.entities.end());
+    EXPECT_TRUE(std::is_sorted(b.begin(), b.end()));
+    EXPECT_TRUE(std::adjacent_find(b.begin(), b.end()) == b.end());
   }
   const uint64_t aggregate =
       blocks.AggregateComparisons(*collection, ResolutionMode::kCleanClean);

@@ -221,16 +221,15 @@ TEST(SpillShuffleTest, UnwritableSpillDirThrowsSpillError) {
            << "block count mismatch: " << a.num_blocks() << " vs "
            << b.num_blocks();
   }
-  for (size_t i = 0; i < a.num_blocks(); ++i) {
-    if (a.KeyString(a.block(i).key) != b.KeyString(b.block(i).key)) {
+  for (uint32_t i = 0; i < a.num_blocks(); ++i) {
+    if (a.KeyString(i) != b.KeyString(i)) {
       return ::testing::AssertionFailure()
-             << "block " << i << " key mismatch: \""
-             << a.KeyString(a.block(i).key) << "\" vs \""
-             << b.KeyString(b.block(i).key) << "\"";
+             << "block " << i << " key mismatch: \"" << a.KeyString(i)
+             << "\" vs \"" << b.KeyString(i) << "\"";
     }
-    if (a.block(i).entities != b.block(i).entities) {
+    if (!std::ranges::equal(a.entities(i), b.entities(i))) {
       return ::testing::AssertionFailure()
-             << "block " << i << " (\"" << a.KeyString(a.block(i).key)
+             << "block " << i << " (\"" << a.KeyString(i)
              << "\") entity list mismatch";
     }
   }
