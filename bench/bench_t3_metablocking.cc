@@ -10,11 +10,12 @@
 // PC loss; cardinality schemes (CEP/CNP) prune harder than weight schemes
 // (WEP/WNP); node-centric schemes retain more recall than edge-centric.
 //
-// The thread sweep times MetaBlockingOptions::num_threads ∈ {1, 2, 4, 8}
-// per pruning scheme, asserts byte-identical output at every count, and
-// writes BENCH_t3_metablocking.json. Expected shape: near-linear speedup up
-// to the physical core count (flat on single-core machines — see the
-// recorded hardware_concurrency), identical retained lists throughout.
+// The thread sweep times MetaBlocking::Prune on a pool of {1, 2, 4, 8}
+// workers (pool spawn included) per pruning scheme, asserts byte-identical
+// output at every count, and writes BENCH_t3_metablocking.json. Expected
+// shape: near-linear speedup up to the physical core count (flat on
+// single-core machines — see the recorded hardware_concurrency), identical
+// retained lists throughout.
 
 #include <algorithm>
 #include <cstdio>
@@ -28,6 +29,7 @@
 #include "eval/metrics.h"
 #include "metablocking/meta_blocking.h"
 #include "util/stopwatch.h"
+#include "util/thread_pool.h"
 #include "util/table.h"
 
 using namespace minoan;        // NOLINT
@@ -141,7 +143,6 @@ int main(int argc, char** argv) {
   for (uint32_t ps = 0; ps < kNumPruningSchemes; ++ps) {
     MetaBlockingOptions opts;
     opts.pruning = static_cast<PruningScheme>(ps);
-    opts.num_threads = 1;
     std::vector<WeightedComparison> reference;
     const double seq_ms = MedianOfThree([&] {
       Stopwatch watch;
@@ -149,12 +150,15 @@ int main(int argc, char** argv) {
       return watch.ElapsedMillis();
     });
     for (uint32_t threads : {1u, 2u, 4u, 8u}) {
-      opts.num_threads = threads;
       std::vector<WeightedComparison> retained;
       const double ms =
           threads == 1 ? seq_ms : MedianOfThree([&] {
             Stopwatch watch;
-            retained = MetaBlocking(opts).Prune(blocks, *w.collection);
+            {  // spawn and join inside the timed region
+              ThreadPool pool(threads);
+              retained = MetaBlocking(opts).Prune(blocks, *w.collection,
+                                                  nullptr, &pool);
+            }
             return watch.ElapsedMillis();
           });
       const bool identical =

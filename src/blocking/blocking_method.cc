@@ -136,14 +136,8 @@ void TokenBlocking::BuildInto(const EntityCollection& collection,
                                : std::string_view(),
              entities);
   };
-  if (memory_or_null() != nullptr) {
-    StreamShardedPostings<uint32_t>(collection.num_entities(), pool, emit,
-                                    HashU32, *memory_or_null(), consume);
-    return;
-  }
-  auto postings = BuildShardedPostings<uint32_t>(collection.num_entities(),
-                                                 pool, emit, HashU32);
-  for (auto& posting : postings) consume(posting.key, posting.entities);
+  ForEachShardedPosting<uint32_t>(collection.num_entities(), pool, memory(),
+                                  emit, HashU32, consume);
 }
 
 void AppendPisKeys(const PisBlocking::Options& options,
@@ -184,15 +178,8 @@ void PisBlocking::BuildInto(const EntityCollection& collection,
     if (entities.size() > options_.max_block_size) return;
     sink.Add(key, entities);
   };
-  if (memory_or_null() != nullptr) {
-    StreamShardedPostings<std::string>(collection.num_entities(), pool, emit,
-                                       HashString, *memory_or_null(),
-                                       consume);
-    return;
-  }
-  auto postings = BuildShardedPostings<std::string>(collection.num_entities(),
-                                                    pool, emit, HashString);
-  for (auto& posting : postings) consume(posting.key, posting.entities);
+  ForEachShardedPosting<std::string>(collection.num_entities(), pool,
+                                     memory(), emit, HashString, consume);
 }
 
 std::vector<uint32_t> AttributeClusteringBlocking::ClusterPredicates(
@@ -349,14 +336,8 @@ void AttributeClusteringBlocking::BuildInto(const EntityCollection& collection,
       sink.Add(std::string_view(), entities);
     }
   };
-  if (memory_or_null() != nullptr) {
-    StreamShardedPostings<uint64_t>(collection.num_entities(), pool, emit,
-                                    HashU64, *memory_or_null(), consume);
-    return;
-  }
-  auto postings = BuildShardedPostings<uint64_t>(collection.num_entities(),
-                                                 pool, emit, HashU64);
-  for (auto& posting : postings) consume(posting.key, posting.entities);
+  ForEachShardedPosting<uint64_t>(collection.num_entities(), pool, memory(),
+                                  emit, HashU64, consume);
 }
 
 void CompositeBlocking::BuildInto(const EntityCollection& collection,

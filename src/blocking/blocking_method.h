@@ -102,13 +102,9 @@ class BlockingMethod {
   virtual void set_memory_budget(const extmem::MemoryBudgetOptions& memory) {
     memory_ = memory;
   }
-  const extmem::MemoryBudgetOptions& memory_budget() const { return memory_; }
 
  protected:
-  /// The form BuildShardedPostings takes: null when the budget is disabled.
-  const extmem::MemoryBudgetOptions* memory_or_null() const {
-    return memory_.enabled() ? &memory_ : nullptr;
-  }
+  const extmem::MemoryBudgetOptions& memory() const { return memory_; }
 
  private:
   extmem::MemoryBudgetOptions memory_;

@@ -155,13 +155,7 @@ void QGramBlocking::BuildInto(const EntityCollection& collection,
       sink.Add(std::string_view(), entities);
     }
   };
-  if (memory_or_null() != nullptr) {
-    StreamShardedPostings<std::string>(n, pool, emit, hash, *memory_or_null(),
-                                       consume);
-    return;
-  }
-  auto postings = BuildShardedPostings<std::string>(n, pool, emit, hash);
-  for (auto& posting : postings) consume(posting.key, posting.entities);
+  ForEachShardedPosting<std::string>(n, pool, memory(), emit, hash, consume);
 }
 
 void SortedNeighborhoodBlocking::BuildInto(const EntityCollection& collection,
@@ -218,9 +212,9 @@ void SortedNeighborhoodBlocking::BuildInto(const EntityCollection& collection,
   };
   CountingSink counting(sink, windows_emitted);
 
-  if (memory_or_null() != nullptr) {
+  if (memory().enabled()) {
     extmem::RunSpilledShuffle(
-        pool, n, kBlockingChunkEntities, /*num_shards=*/1, *memory_or_null(),
+        pool, n, kBlockingChunkEntities, /*num_shards=*/1, memory(),
         [&](size_t /*chunk*/, size_t begin, size_t end, const auto& route) {
           std::vector<uint32_t> toks;
           std::string record;

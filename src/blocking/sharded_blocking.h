@@ -11,11 +11,12 @@
 // bit-identical for every thread count, including the inline (no pool)
 // path.
 //
-// With a MemoryBudgetOptions the shard merge runs on the external-memory
-// shuffle engine (extmem/shuffle.h): emissions stream through bounded
-// per-shard buffers that spill sorted runs to temp files, and the k-way
-// merge reader reproduces the exact stable order the in-memory path sorts
-// into — the postings are byte-identical with and without spilling.
+// With an enabled memory budget, ForEachShardedPosting runs the shard merge
+// on the external-memory shuffle engine instead (extmem/shuffle.h):
+// emissions stream through bounded per-shard buffers that spill sorted runs
+// to temp files, and the k-way merge reader reproduces the exact stable
+// order the in-memory path sorts into — the postings are byte-identical
+// with and without spilling.
 
 #ifndef MINOAN_BLOCKING_SHARDED_BLOCKING_H_
 #define MINOAN_BLOCKING_SHARDED_BLOCKING_H_
@@ -59,92 +60,17 @@ struct KeyedPosting {
   std::vector<EntityId> entities;
 };
 
-/// Phase C of the postings build, shared by the in-memory and spill paths:
-/// shards hold disjoint key sets, so one sort by (unique) key fixes the
-/// global emission order.
-template <typename Key>
-std::vector<KeyedPosting<Key>> ConcatenatePostingsSortedByKey(
-    std::vector<std::vector<KeyedPosting<Key>>>& shard_out) {
-  std::vector<KeyedPosting<Key>> out = FlattenInOrder(shard_out);
-  std::sort(out.begin(), out.end(),
-            [](const KeyedPosting<Key>& a, const KeyedPosting<Key>& b) {
-              return a.key < b.key;
-            });
-  static obs::Counter& postings =
-      obs::MetricsRegistry::Default().counter("blocking.postings");
-  postings.Add(out.size());
-  return out;
-}
-
-/// External-memory variant of the shard merge: emissions are serialized as
-/// shuffle records (order-preserving key bytes + the entity id as payload)
-/// and pushed through spilling shard sinks; each shard's merged stream is
-/// the stable key sort of its arrival order — the exact order the in-memory
-/// phase B produces — so the grouped postings carry identical bytes.
-template <typename Key, typename EmitFn, typename HashFn>
-void SpilledPostingsShards(uint32_t num_entities, ThreadPool* pool,
-                           const EmitFn& emit, const HashFn& hash,
-                           const extmem::MemoryBudgetOptions& memory,
-                           std::vector<std::vector<KeyedPosting<Key>>>&
-                               shard_out) {
-  static obs::Counter& emissions_counter =
-      obs::MetricsRegistry::Default().counter("blocking.emissions");
-  extmem::RunSpilledShuffle(
-      pool, num_entities, kBlockingChunkEntities, kBlockingMergeShards,
-      memory,
-      [&](size_t /*chunk*/, size_t begin, size_t end, const auto& route) {
-        std::vector<Key> keys;
-        std::string record;
-        uint64_t emitted = 0;
-        for (EntityId e = static_cast<EntityId>(begin);
-             e < static_cast<EntityId>(end); ++e) {
-          keys.clear();
-          emit(e, keys);
-          for (const Key& key : keys) {
-            extmem::EncodeKey(key, record);
-            extmem::AppendU32Le(record, e);
-            route(static_cast<uint32_t>(Mix64(hash(key)) &
-                                        (kBlockingMergeShards - 1)),
-                  record);
-            ++emitted;
-          }
-        }
-        emissions_counter.Add(emitted);
-      },
-      [&](uint32_t s, extmem::ShuffleSource& source) {
-        std::string_view record;
-        std::string group_key;  // encoded key bytes of the open posting
-        KeyedPosting<Key> posting;
-        bool open = false;
-        while (source.Next(record)) {
-          const std::string_view key_bytes = extmem::RecordKey(record);
-          if (!open || key_bytes != group_key) {
-            if (open) shard_out[s].push_back(std::move(posting));
-            posting = KeyedPosting<Key>();
-            posting.key = extmem::DecodeKey<Key>(key_bytes);
-            group_key.assign(key_bytes.data(), key_bytes.size());
-            open = true;
-          }
-          posting.entities.push_back(
-              extmem::ReadU32Le(extmem::RecordPayload(record)));
-        }
-        if (open) shard_out[s].push_back(std::move(posting));
-      });
-}
-
 /// Builds the merged postings of `num_entities` entities. `emit(e, keys)`
 /// appends entity e's blocking keys to `keys` (cleared by the caller), in
 /// the exact order the sequential scan would have produced them. `hash(key)`
 /// must be a pure function (only the shard *grouping* depends on it; the
 /// output is canonically sorted, so any stable hash yields identical
 /// results). Returns postings sorted ascending by key; keys are unique.
-/// A non-null `memory` with an enabled budget routes the shard merge through
-/// the spill-to-disk engine — byte-identical output, bounded memory.
 template <typename Key, typename EmitFn, typename HashFn>
-std::vector<KeyedPosting<Key>> BuildShardedPostings(
-    uint32_t num_entities, ThreadPool* pool, const EmitFn& emit,
-    const HashFn& hash,
-    const extmem::MemoryBudgetOptions* memory = nullptr) {
+std::vector<KeyedPosting<Key>> BuildShardedPostings(uint32_t num_entities,
+                                                    ThreadPool* pool,
+                                                    const EmitFn& emit,
+                                                    const HashFn& hash) {
   using Emission = std::pair<Key, EntityId>;
 
   // Coarse-grained telemetry only: one add per chunk or shard, never per
@@ -157,15 +83,9 @@ std::vector<KeyedPosting<Key>> BuildShardedPostings(
       obs::MetricsRegistry::Default().histogram("blocking.shard_records");
   static obs::Histogram& merge_fanin =
       obs::MetricsRegistry::Default().histogram("blocking.merge_fanin");
+  static obs::Counter& postings_counter =
+      obs::MetricsRegistry::Default().counter("blocking.postings");
   chunks_counter.Add(NumChunks(num_entities, kBlockingChunkEntities));
-
-  if (memory != nullptr && memory->enabled()) {
-    std::vector<std::vector<KeyedPosting<Key>>> shard_out(
-        kBlockingMergeShards);
-    SpilledPostingsShards(num_entities, pool, emit, hash, *memory,
-                          shard_out);
-    return ConcatenatePostingsSortedByKey(shard_out);
-  }
 
   // Phase A: per-chunk scan. Each chunk collects its emissions in scan
   // order, then counting-sorts them by shard in place — one contiguous
@@ -262,7 +182,15 @@ std::vector<KeyedPosting<Key>> BuildShardedPostings(
     }
   });
 
-  return ConcatenatePostingsSortedByKey(shard_out);
+  // Phase C: shards hold disjoint key sets, so one sort by (unique) key
+  // fixes the global emission order.
+  std::vector<KeyedPosting<Key>> out = FlattenInOrder(shard_out);
+  std::sort(out.begin(), out.end(),
+            [](const KeyedPosting<Key>& a, const KeyedPosting<Key>& b) {
+              return a.key < b.key;
+            });
+  postings_counter.Add(out.size());
+  return out;
 }
 
 /// Fully streaming variant of BuildShardedPostings: instead of returning a
@@ -321,6 +249,25 @@ void StreamShardedPostings(uint32_t num_entities, ThreadPool* pool,
     ++num_postings;
   }
   postings_counter.Add(num_postings);
+}
+
+/// The one postings entry point of the batch blockers: delivers every
+/// merged posting to `consume(key, entities)` in ascending key order. The
+/// budget picks the sink — StreamShardedPostings through spilling shard
+/// sinks when `memory` is enabled, else the in-memory BuildShardedPostings
+/// — and the consumed sequence is byte-identical either way.
+template <typename Key, typename EmitFn, typename HashFn, typename ConsumeFn>
+void ForEachShardedPosting(uint32_t num_entities, ThreadPool* pool,
+                           const extmem::MemoryBudgetOptions& memory,
+                           const EmitFn& emit, const HashFn& hash,
+                           const ConsumeFn& consume) {
+  if (memory.enabled()) {
+    StreamShardedPostings<Key>(num_entities, pool, emit, hash, memory,
+                               consume);
+    return;
+  }
+  auto postings = BuildShardedPostings<Key>(num_entities, pool, emit, hash);
+  for (auto& posting : postings) consume(posting.key, posting.entities);
 }
 
 }  // namespace minoan

@@ -7,6 +7,7 @@
 #include "core/session.h"
 #include "util/logging.h"
 #include "util/table.h"
+#include "util/thread_pool.h"
 
 namespace minoan {
 
@@ -45,21 +46,10 @@ Status WorkflowOptions::Validate() const {
                                    FormatValue(filter_ratio) +
                                    " (1 disables filtering)");
   }
-  constexpr uint32_t kMaxThreads = 1024;
   if (num_threads > kMaxThreads) {
     return Status::InvalidArgument(
-        "num_threads must be in [0, 1024] (0 = hardware concurrency), got " +
-        std::to_string(num_threads));
-  }
-  if (meta.num_threads > kMaxThreads) {
-    return Status::InvalidArgument(
-        "meta.num_threads must be in [0, 1024], got " +
-        std::to_string(meta.num_threads));
-  }
-  if (progressive.num_threads > kMaxThreads) {
-    return Status::InvalidArgument(
-        "progressive.num_threads must be in [0, 1024], got " +
-        std::to_string(progressive.num_threads));
+        "num_threads must be in [0, " + std::to_string(kMaxThreads) +
+        "] (0 = hardware concurrency), got " + std::to_string(num_threads));
   }
   const double threshold = progressive.matcher.threshold;
   if (!std::isfinite(threshold) || threshold < 0.0 || threshold > 1.0) {

@@ -84,21 +84,20 @@ struct WorkflowOptions {
   /// and their neighborhoods gain evidence before matching starts.
   bool use_same_as_seeds = false;
 
-  /// Workflow-wide external-memory budget: fans out to the blocking
-  /// postings shuffle and (when meta.memory is left disabled) the
-  /// meta-blocking vote shards. Disabled by default; when enabled, both
-  /// shuffles spill sorted runs to temp files under
-  /// `memory.shuffle_budget_bytes` and the results are byte-identical to
-  /// the in-memory path. CLI: --memory-budget / --spill-dir.
+  /// The session's one external-memory budget, handed to the blocking
+  /// postings shuffle and the meta-blocking vote shards. Disabled by
+  /// default; when enabled, both shuffles spill sorted runs to temp files
+  /// under `memory.shuffle_budget_bytes` and the results are byte-identical
+  /// to the in-memory path. CLI: --memory-budget / --spill-dir.
   extmem::MemoryBudgetOptions memory;
 
-  /// Workflow-wide worker-thread count: fans out to blocking (inverted-index
-  /// construction), graph-view construction, meta-blocking pruning, and the
-  /// initial candidate-scoring pass, and is applied to every phase that
-  /// still has its own knob at the default (meta.num_threads,
-  /// progressive.num_threads). 1 = single-threaded (default), 0 = hardware
-  /// concurrency. Every phase is deterministic in the thread count, so the
-  /// report is identical for every value.
+  /// The session's one worker-thread count: sizes the single pool that
+  /// serves blocking (inverted-index construction), block cleaning,
+  /// graph-view construction, meta-blocking pruning, and the initial
+  /// candidate-scoring pass. 1 = single-threaded (default, no pool),
+  /// 0 = hardware concurrency, at most kMaxThreads. Every phase is
+  /// deterministic in the thread count, so the report is identical for
+  /// every value.
   uint32_t num_threads = 1;
 
   /// Pin pool workers to CPU cores (Linux; no-op elsewhere) so per-worker

@@ -1,9 +1,7 @@
 #include "core/session.h"
 
-#include <algorithm>
 #include <bit>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "blocking/block_cleaning.h"
@@ -25,28 +23,6 @@ namespace {
 
 /// Format tag of the serialized session; bump on layout changes.
 constexpr std::string_view kSessionMagic = "MNER-SESS-v1";
-
-/// Fans the workflow-wide thread count out to phases left at their default,
-/// exactly as the legacy one-shot Run did. The workflow memory budget fans
-/// out the same way: a phase-level meta.memory wins when set.
-MetaBlockingOptions EffectiveMetaOptions(const WorkflowOptions& options) {
-  MetaBlockingOptions meta = options.meta;
-  if (options.num_threads != 1 && meta.num_threads == 1) {
-    meta.num_threads = options.num_threads;
-  }
-  if (options.memory.enabled() && !meta.memory.enabled()) {
-    meta.memory = options.memory;
-  }
-  return meta;
-}
-
-ProgressiveOptions EffectiveProgressiveOptions(const WorkflowOptions& options) {
-  ProgressiveOptions progressive = options.progressive;
-  if (options.num_threads != 1 && progressive.num_threads == 1) {
-    progressive.num_threads = options.num_threads;
-  }
-  return progressive;
-}
 
 uint64_t Mix(uint64_t seed, uint64_t v) { return HashCombine(seed, v); }
 uint64_t Mix(uint64_t seed, double v) {
@@ -89,9 +65,26 @@ uint64_t OptionsDigest(const WorkflowOptions& o) {
 }  // namespace
 
 struct ResolutionSession::Impl {
-  const EntityCollection* collection = nullptr;
+  /// Shared by Open and Restore: binds the inputs and creates the session's
+  /// one worker pool, which every parallel phase borrows — thread spawn/join
+  /// is per-session overhead, not per-phase. A single thread gets no pool
+  /// and runs everything inline, with identical results.
+  Impl(const EntityCollection& c, const WorkflowOptions& o,
+       MatchObserver* match_observer)
+      : collection(&c), options(o), observer(match_observer) {
+    const uint32_t threads = ResolveThreadCount(options.num_threads);
+    if (threads > 1) {
+      pool = std::make_unique<ThreadPool>(
+          threads, ThreadPoolOptions{options.pin_threads});
+    }
+    if (options.obs.enable_trace) {
+      trace = std::make_unique<obs::TraceRecorder>();
+    }
+  }
+
+  const EntityCollection* collection;
   WorkflowOptions options;
-  MatchObserver* observer = nullptr;
+  MatchObserver* observer;
 
   // Static-phase products and accounting (fixed once Open returns).
   std::vector<PhaseStats> phases;
@@ -119,25 +112,14 @@ struct ResolutionSession::Impl {
   }
 
   /// Rebuilds the deterministic resolution substrate (graph, evaluator,
-  /// pool, resolver) shared by Open and Restore. The schedule itself comes
-  /// from Begin (Open) or LoadState (Restore).
+  /// resolver) shared by Open and Restore. The schedule itself comes from
+  /// Begin (Open) or LoadState (Restore).
   void BuildResolutionSubstrate() {
-    const ProgressiveOptions progressive =
-        EffectiveProgressiveOptions(options);
-    const uint32_t meta_threads =
-        ResolveThreadCount(EffectiveMetaOptions(options).num_threads);
-    const uint32_t prog_threads =
-        ResolveThreadCount(progressive.num_threads);
-    if (pool == nullptr && std::max(meta_threads, prog_threads) > 1) {
-      pool = std::make_unique<ThreadPool>(
-          std::max(meta_threads, prog_threads),
-          ThreadPoolOptions{options.pin_threads});
-    }
     graph = std::make_unique<NeighborGraph>(*collection);
     evaluator =
         std::make_unique<SimilarityEvaluator>(*collection, options.similarity);
     resolver = std::make_unique<ProgressiveResolver>(
-        *collection, *graph, *evaluator, progressive, pool.get());
+        *collection, *graph, *evaluator, options.progressive, pool.get());
     if (observer != nullptr) {
       resolver->set_match_callback(
           [sink = observer](const MatchEvent& m) { sink->OnMatch(m); });
@@ -163,49 +145,26 @@ Result<ResolutionSession> ResolutionSession::Open(
   if (!collection.finalized()) {
     return Status::FailedPrecondition("collection not finalized");
   }
-  auto impl = std::make_unique<Impl>();
-  impl->collection = &collection;
-  impl->options = options;
-  impl->observer = observer;
-  if (options.obs.enable_trace) {
-    impl->trace = std::make_unique<obs::TraceRecorder>();
-  }
+  auto impl = std::make_unique<Impl>(collection, options, observer);
   // The "open" span nests every static-phase span recorded below.
   obs::PhaseSpan open_span(impl->trace.get(), "open");
   Stopwatch watch;
 
-  // One pool serves every parallel phase of this session (thread spawn/join
-  // is per-session overhead, not per-phase), created up front so blocking —
-  // the first and often dominant phase — fans out too. Phases that stay at
-  // num_threads == 1 keep running inline — with identical results either
-  // way.
-  const MetaBlockingOptions meta_options = EffectiveMetaOptions(options);
-  const uint32_t meta_threads = ResolveThreadCount(meta_options.num_threads);
-  const uint32_t prog_threads = ResolveThreadCount(
-      EffectiveProgressiveOptions(options).num_threads);
-  const uint32_t block_threads = ResolveThreadCount(options.num_threads);
-  const uint32_t pool_threads =
-      std::max({meta_threads, prog_threads, block_threads});
-  if (pool_threads > 1) {
-    impl->pool = std::make_unique<ThreadPool>(
-        pool_threads, ThreadPoolOptions{options.pin_threads});
-  }
-
   // ---- Blocking + cleaning + meta-blocking --------------------------------
   // One keyless block store whatever the memory budget: the budget reaches
-  // only the blocker's shuffle (MakeWorkflowBlocker) and the pruning sinks
-  // (EffectiveMetaOptions), which spill to the filesystem — a spill failure
-  // (unwritable temp dir, full disk) surfaces as a Status here instead of
-  // unwinding through the caller.
+  // only the blocker's shuffle (MakeWorkflowBlocker) and the pruning sinks,
+  // which spill to the filesystem — a spill failure (unwritable temp dir,
+  // full disk) surfaces as a Status here instead of unwinding through the
+  // caller.
   std::vector<WeightedComparison> candidates;
+  ThreadPool* const pool = impl->pool.get();
   try {
-    ThreadPool* blocking_pool = block_threads > 1 ? impl->pool.get() : nullptr;
     watch.Restart();
     BlockCollection blocks;
     {
       obs::PhaseSpan span(impl->trace.get(), "blocking");
       BlockCollectionSink sink(blocks, /*keyed=*/false);
-      MakeWorkflowBlocker(options)->BuildInto(collection, blocking_pool, sink);
+      MakeWorkflowBlocker(options)->BuildInto(collection, pool, sink);
     }
     impl->blocks_built = blocks.num_blocks();
     impl->EmitPhase({"blocking", watch.ElapsedMillis(), impl->blocks_built});
@@ -215,11 +174,11 @@ Result<ResolutionSession> ResolutionSession::Open(
       obs::PhaseSpan span(impl->trace.get(), "block-cleaning");
       if (options.auto_purge) {
         AutoPurge(blocks, collection, options.meta.mode, /*smoothing=*/1.025,
-                  blocking_pool);
+                  pool);
       }
       if (options.filter_ratio > 0.0 && options.filter_ratio < 1.0) {
         FilterBlocks(blocks, options.filter_ratio, collection,
-                     options.meta.mode, blocking_pool);
+                     options.meta.mode, pool);
       }
       impl->blocks_after_cleaning = blocks.num_blocks();
       impl->comparisons_before_meta =
@@ -232,11 +191,8 @@ Result<ResolutionSession> ResolutionSession::Open(
     {
       obs::PhaseSpan span(impl->trace.get(), "meta-blocking");
       if (options.enable_meta_blocking) {
-        MetaBlocking meta(meta_options);
-        candidates = impl->pool && meta_threads > 1
-                         ? meta.Prune(blocks, collection, *impl->pool,
-                                      &impl->meta_stats)
-                         : meta.Prune(blocks, collection, &impl->meta_stats);
+        candidates = MetaBlocking(options.meta).Prune(
+            blocks, collection, &impl->meta_stats, pool, options.memory);
       } else {
         // Distinct comparisons with CBS weights (no pruning).
         for (const Comparison& c :
@@ -427,10 +383,7 @@ Result<ResolutionSession> ResolutionSession::Restore(
         "the options used at checkpoint time");
   }
 
-  auto impl = std::make_unique<Impl>();
-  impl->collection = &collection;
-  impl->options = options;
-  impl->observer = observer;
+  auto impl = std::make_unique<Impl>(collection, options, observer);
   if (!serde::ReadU64(in, impl->blocks_built) ||
       !serde::ReadU64(in, impl->blocks_after_cleaning) ||
       !serde::ReadU64(in, impl->comparisons_before_meta) ||
@@ -461,9 +414,6 @@ Result<ResolutionSession> ResolutionSession::Restore(
   // The static phases' products are pure functions of (collection, options):
   // rebuild them instead of serializing megabytes of graph and TF-IDF
   // vectors, then restore the loop state on top.
-  if (options.obs.enable_trace) {
-    impl->trace = std::make_unique<obs::TraceRecorder>();
-  }
   {
     obs::PhaseSpan span(impl->trace.get(), "restore");
     impl->BuildResolutionSubstrate();

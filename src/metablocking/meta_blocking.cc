@@ -1,12 +1,10 @@
 #include "metablocking/meta_blocking.h"
 
 #include <algorithm>
-#include <thread>
 
 #include "metablocking/blocking_graph.h"
 #include "metablocking/sharded_prune.h"
 #include "util/hash.h"
-#include "util/thread_pool.h"
 
 namespace minoan {
 
@@ -50,23 +48,11 @@ void SortByWeightDescending(std::vector<WeightedComparison>& comparisons) {
 
 std::vector<WeightedComparison> MetaBlocking::Prune(
     BlockCollection& blocks, const EntityCollection& collection,
-    MetaBlockingStats* stats) const {
-  const uint32_t threads = ResolveThreadCount(options_.num_threads);
-  if (threads <= 1) {
-    const BlockingGraphView view(blocks, collection, options_.weighting,
-                                 options_.mode);
-    return ShardedPrune(view, options_, nullptr, stats);
-  }
-  ThreadPool pool(threads);
-  return Prune(blocks, collection, pool, stats);
-}
-
-std::vector<WeightedComparison> MetaBlocking::Prune(
-    BlockCollection& blocks, const EntityCollection& collection,
-    ThreadPool& pool, MetaBlockingStats* stats) const {
+    MetaBlockingStats* stats, ThreadPool* pool,
+    const extmem::MemoryBudgetOptions& memory) const {
   const BlockingGraphView view(blocks, collection, options_.weighting,
-                               options_.mode, &pool);
-  return ShardedPrune(view, options_, &pool, stats);
+                               options_.mode, pool);
+  return ShardedPrune(view, options_, pool, stats, memory);
 }
 
 double ComputePairWeight(BlockCollection& blocks,

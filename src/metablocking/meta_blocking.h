@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "blocking/block.h"
+#include "extmem/memory_budget.h"
 #include "kb/collection.h"
 #include "metablocking/meta_blocking_types.h"
 
@@ -29,9 +30,9 @@ namespace minoan {
 class ThreadPool;
 
 /// Executes weighting + pruning over a block collection. Runs on the
-/// calling thread by default; set MetaBlockingOptions::num_threads (or pass
-/// a pool) to shard the pruning across workers — the output is bit-identical
-/// either way (see sharded_prune.h).
+/// calling thread by default; pass a pool to shard the pruning across its
+/// workers and an enabled memory budget to spill the pruning shuffles to
+/// disk — the output is bit-identical either way (see sharded_prune.h).
 class MetaBlocking {
  public:
   explicit MetaBlocking(MetaBlockingOptions options) : options_(options) {}
@@ -39,22 +40,13 @@ class MetaBlocking {
 
   /// Prunes the blocking graph of `blocks` (builds its entity index when
   /// missing). Returns retained comparisons sorted by descending weight
-  /// (ties broken by pair id for determinism). Spawns a worker pool when
-  /// options().num_threads != 1.
-  std::vector<WeightedComparison> Prune(BlockCollection& blocks,
-                                        const EntityCollection& collection,
-                                        MetaBlockingStats* stats = nullptr)
-      const;
-
-  /// Same, on a caller-owned pool. Lets long-lived callers (sessions,
-  /// benches) reuse their threads. (Takes a reference, not a pointer, so
-  /// `Prune(b, c, nullptr)` stays an unambiguous spelling of the
-  /// stats-only overload.)
-  std::vector<WeightedComparison> Prune(BlockCollection& blocks,
-                                        const EntityCollection& collection,
-                                        ThreadPool& pool,
-                                        MetaBlockingStats* stats = nullptr)
-      const;
+  /// (ties broken by pair id for determinism). `pool` (caller-owned, may
+  /// be nullptr) fans view construction and pruning out over its workers;
+  /// `memory` picks the pruning shuffle sinks (in-memory when disabled).
+  std::vector<WeightedComparison> Prune(
+      BlockCollection& blocks, const EntityCollection& collection,
+      MetaBlockingStats* stats = nullptr, ThreadPool* pool = nullptr,
+      const extmem::MemoryBudgetOptions& memory = {}) const;
 
   const MetaBlockingOptions& options() const { return options_; }
 

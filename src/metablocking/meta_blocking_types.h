@@ -8,7 +8,6 @@
 #include <string_view>
 
 #include "blocking/block.h"
-#include "extmem/memory_budget.h"
 #include "kb/entity.h"
 
 namespace minoan {
@@ -50,14 +49,6 @@ struct MetaBlockingOptions {
   /// (reciprocal) instead of either (standard).
   bool reciprocal = false;
   ResolutionMode mode = ResolutionMode::kCleanClean;
-  /// Pruning parallelism: 1 = run on the calling thread (default), N > 1 =
-  /// use a pool of N workers, 0 = hardware concurrency. The retained edge
-  /// list is bit-identical for every value (see sharded_prune.h).
-  uint32_t num_threads = 1;
-  /// External-memory budget for the node-centric vote shards: when enabled,
-  /// nominations spill sorted runs to temp files instead of accumulating in
-  /// RAM — with a bit-identical retained edge list either way.
-  extmem::MemoryBudgetOptions memory;
 };
 
 /// Summary counters of one meta-blocking run.

@@ -48,10 +48,10 @@ struct ChunkPartial {
 
 }  // namespace
 
-std::vector<WeightedComparison> ShardedPrune(const BlockingGraphView& view,
-                                             const MetaBlockingOptions& options,
-                                             ThreadPool* pool,
-                                             MetaBlockingStats* stats) {
+std::vector<WeightedComparison> ShardedPrune(
+    const BlockingGraphView& view, const MetaBlockingOptions& options,
+    ThreadPool* pool, MetaBlockingStats* stats,
+    const extmem::MemoryBudgetOptions& memory) {
   const uint32_t n = view.collection().num_entities();
   const size_t num_chunks =
       (static_cast<size_t>(n) + kPruneChunkEntities - 1) / kPruneChunkEntities;
@@ -94,7 +94,7 @@ std::vector<WeightedComparison> ShardedPrune(const BlockingGraphView& view,
       const double mean = graph_edges > 0
                               ? weight_sum / static_cast<double>(graph_edges)
                               : 0.0;
-      if (options.memory.enabled()) {
+      if (memory.enabled()) {
         // Pass 2, external: surviving edges stream through ONE spilling sink
         // keyed [~weight BE][pair BE]. Every scheme's weight is finite and
         // >= 0 (never -0.0), so the complemented bit pattern orders bytes by
@@ -103,7 +103,7 @@ std::vector<WeightedComparison> ShardedPrune(const BlockingGraphView& view,
         // unique per edge (only_greater emits each pair once), so merge
         // tie-breaks never fire.
         extmem::RunSpilledShuffle(
-            pool, n, kPruneChunkEntities, /*num_shards=*/1, options.memory,
+            pool, n, kPruneChunkEntities, /*num_shards=*/1, memory,
             [&](size_t /*c*/, size_t begin, size_t end, const auto& route) {
               NeighborScratch& scratch = TlsNeighborScratch(n);
               std::string record;
@@ -161,7 +161,7 @@ std::vector<WeightedComparison> ShardedPrune(const BlockingGraphView& view,
       const uint64_t k =
           std::max<uint64_t>(1, view.total_block_assignments() / 2);
       std::vector<ChunkPartial> partials(num_chunks);
-      if (options.memory.enabled()) {
+      if (memory.enabled()) {
         // External top-K: ALL edges stream through one spilling sink keyed
         // [~weight BE][pair BE] (weight descending, pair ascending — see the
         // WEP case for the encoding argument); the first K records of the
@@ -170,7 +170,7 @@ std::vector<WeightedComparison> ShardedPrune(const BlockingGraphView& view,
         // order. Peak memory is the spill budget + K retained edges, not
         // the full edge list.
         extmem::RunSpilledShuffle(
-            pool, n, kPruneChunkEntities, /*num_shards=*/1, options.memory,
+            pool, n, kPruneChunkEntities, /*num_shards=*/1, memory,
             [&](size_t c, size_t begin, size_t end, const auto& route) {
               NeighborScratch& scratch = TlsNeighborScratch(n);
               ChunkPartial partial;
@@ -315,13 +315,13 @@ std::vector<WeightedComparison> ShardedPrune(const BlockingGraphView& view,
         }
       };
 
-      if (options.memory.enabled()) {
+      if (memory.enabled()) {
         // External-memory phase A/B: nominations stream through spilling
         // vote-shard sinks as (pair, nominator)-keyed records; each shard's
         // merged stream is exactly the sorted vote array the in-memory path
         // aggregates, so the retained edges carry identical bytes.
         extmem::RunSpilledShuffle(
-            pool, n, kPruneChunkEntities, kPruneVoteShards, options.memory,
+            pool, n, kPruneChunkEntities, kPruneVoteShards, memory,
             [&](size_t c, size_t /*begin*/, size_t /*end*/,
                 const auto& route) {
               std::string record;

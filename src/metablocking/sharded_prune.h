@@ -17,6 +17,7 @@
 
 #include <vector>
 
+#include "extmem/memory_budget.h"
 #include "metablocking/blocking_graph.h"
 #include "metablocking/meta_blocking_types.h"
 #include "util/thread_pool.h"
@@ -32,14 +33,15 @@ inline constexpr uint32_t kPruneChunkEntities = 256;
 inline constexpr uint32_t kPruneVoteShards = 64;
 
 /// Prunes the blocking graph of `view` under `options`, running chunk and
-/// shard tasks on `pool` (nullptr = inline on the calling thread). Returns
-/// retained comparisons in the canonical order of SortByWeightDescending;
-/// the result is bit-identical across pool sizes.
-std::vector<WeightedComparison> ShardedPrune(const BlockingGraphView& view,
-                                             const MetaBlockingOptions& options,
-                                             ThreadPool* pool,
-                                             MetaBlockingStats* stats =
-                                                 nullptr);
+/// shard tasks on `pool` (nullptr = inline on the calling thread). An
+/// enabled `memory` budget routes the vote shards and the CEP/WEP edge
+/// lists through spilling sinks instead of RAM. Returns retained
+/// comparisons in the canonical order of SortByWeightDescending; the result
+/// is bit-identical across pool sizes and budgets.
+std::vector<WeightedComparison> ShardedPrune(
+    const BlockingGraphView& view, const MetaBlockingOptions& options,
+    ThreadPool* pool, MetaBlockingStats* stats = nullptr,
+    const extmem::MemoryBudgetOptions& memory = {});
 
 }  // namespace minoan
 

@@ -82,18 +82,10 @@ void ProgressiveResolver::Begin(
     priorities[i] =
         Priority(candidates[i].a, candidates[i].b, pairs[i], *state_);
   };
-  const uint32_t threads = ResolveThreadCount(options_.num_threads);
-  // A caller-owned pool (the session's) has no spawn cost, so it pays off
-  // on much smaller retained lists than a transient pool does. The gate
-  // only decides where the loop runs; the scores are identical either way.
-  const size_t min_parallel = pool_ != nullptr ? 256 : 2048;
-  if (threads > 1 && candidates.size() >= min_parallel) {
-    if (pool_ != nullptr) {
-      pool_->ParallelFor(candidates.size(), score);
-    } else {
-      ThreadPool pool(threads);
-      pool.ParallelFor(candidates.size(), score);
-    }
+  // The gate only decides where the loop runs; the scores are identical
+  // either way.
+  if (pool_ != nullptr && candidates.size() >= 256) {
+    pool_->ParallelFor(candidates.size(), score);
   } else {
     for (size_t i = 0; i < candidates.size(); ++i) score(i);
   }

@@ -72,11 +72,6 @@ struct ProgressiveOptions {
   /// Evidence-propagation knobs, shared with the online engine.
   EvidenceOptions evidence;
   ResolutionMode mode = ResolutionMode::kCleanClean;
-  /// Worker threads for the batch-parallel setup phase (scoring the initial
-  /// candidates against the pristine state); the iterative schedule/match/
-  /// update loop itself is inherently sequential. 1 = inline (default),
-  /// 0 = hardware concurrency. Results are identical for every value.
-  uint32_t num_threads = 1;
 };
 
 /// Outcome of a progressive run.
@@ -105,8 +100,10 @@ class ProgressiveResolver {
   using MatchCallback = std::function<void(const MatchEvent&)>;
 
   /// `pool` (optional, caller-owned, must outlive the resolver) serves the
-  /// batch-parallel setup phase; without it a transient pool is spawned
-  /// when options.num_threads calls for one.
+  /// batch-parallel setup phase (scoring the initial candidates against the
+  /// pristine state); without it that phase runs inline. The iterative
+  /// schedule/match/update loop is sequential either way, and results are
+  /// identical with or without a pool.
   ProgressiveResolver(const EntityCollection& collection,
                       const NeighborGraph& graph,
                       const SimilarityEvaluator& evaluator,

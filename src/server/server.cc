@@ -541,8 +541,9 @@ std::string Server::HandleCreateSession(std::istream& body,
     return ErrorBody(
         Status::InvalidArgument("threshold must be a finite value in [0, 1]"));
   }
-  if (threads > 1024) {
-    return ErrorBody(Status::InvalidArgument("num_threads must be <= 1024"));
+  if (threads > kMaxThreads) {
+    return ErrorBody(Status::InvalidArgument(
+        "num_threads must be <= " + std::to_string(kMaxThreads)));
   }
   spec.kind = static_cast<SessionKind>(kind);
   spec.use_same_as_seeds = seeds != 0;

@@ -148,8 +148,11 @@ class WorkerScratch {
   std::vector<T> slots_;
 };
 
+/// Upper bound on every thread-count knob (workflow, online, server).
+inline constexpr uint32_t kMaxThreads = 1024;
+
 /// Resolves the "0 = hardware concurrency" convention shared by every
-/// num_threads knob (workflow, meta-blocking, progressive, online).
+/// num_threads knob (workflow, online, server).
 inline uint32_t ResolveThreadCount(uint32_t num_threads) {
   return num_threads == 0 ? std::max(1u, std::thread::hardware_concurrency())
                           : num_threads;

@@ -99,17 +99,16 @@ TEST_P(ShardedParity, ParallelPruningIsByteIdentical) {
   opts.pruning = GetParam().pruning;
   opts.reciprocal = GetParam().reciprocal;
 
-  opts.num_threads = 1;
   MetaBlockingStats seq_stats;
   const auto sequential =
       MetaBlocking(opts).Prune(*blocks_, *collection_, &seq_stats);
   EXPECT_GT(sequential.size(), 0u);
 
   for (uint32_t threads : {2u, 4u, 7u}) {
-    opts.num_threads = threads;
+    ThreadPool pool(threads);
     MetaBlockingStats par_stats;
     const auto parallel =
-        MetaBlocking(opts).Prune(*blocks_, *collection_, &par_stats);
+        MetaBlocking(opts).Prune(*blocks_, *collection_, &par_stats, &pool);
     EXPECT_TRUE(ByteIdentical(sequential, parallel)) << threads << " threads";
     // Counters fold in fixed chunk order: bit-equal, not just near.
     EXPECT_EQ(seq_stats.graph_edges, par_stats.graph_edges);
@@ -150,10 +149,10 @@ TEST(ShardedPruneTest, AutoThreadCountMatchesSequential) {
   BlockCollection blocks = TokenBlocking().Build(*collection);
 
   MetaBlockingOptions opts;
-  opts.num_threads = 1;
   const auto sequential = MetaBlocking(opts).Prune(blocks, *collection);
-  opts.num_threads = 0;  // hardware concurrency
-  const auto parallel = MetaBlocking(opts).Prune(blocks, *collection);
+  ThreadPool pool(ResolveThreadCount(0));  // hardware concurrency
+  const auto parallel =
+      MetaBlocking(opts).Prune(blocks, *collection, nullptr, &pool);
   EXPECT_TRUE(ByteIdentical(sequential, parallel));
 }
 
@@ -162,9 +161,10 @@ TEST(ShardedPruneTest, EmptyCollectionYieldsNoEdges) {
   EntityCollection collection;
   ASSERT_TRUE(collection.Finalize().ok());
   MetaBlockingOptions opts;
-  opts.num_threads = 4;
+  ThreadPool pool(4);
   MetaBlockingStats stats;
-  const auto retained = MetaBlocking(opts).Prune(blocks, collection, &stats);
+  const auto retained =
+      MetaBlocking(opts).Prune(blocks, collection, &stats, &pool);
   EXPECT_TRUE(retained.empty());
   EXPECT_EQ(stats.graph_edges, 0u);
 }

@@ -206,21 +206,29 @@ TEST(SessionTest, CheckpointRestoreReproducesUninterruptedRun) {
   uninterrupted->Step(0);
 
   // Interrupt mid-run (mid-evidence, mid-schedule), serialize, restore in a
-  // "new process", finish. Every byte of the outcome must agree.
+  // "new process", finish. Every byte of the outcome must agree — also when
+  // the restoring process runs a different thread count (num_threads is an
+  // execution hint outside the options digest).
   const uint64_t total = uninterrupted->comparisons_spent();
   ASSERT_GT(total, 10u);
-  auto session = ResolutionSession::Open(collection, options);
-  ASSERT_TRUE(session.ok());
-  session->Step(total / 2);
-  ASSERT_FALSE(session->exhausted());
-  std::stringstream state;
-  ASSERT_TRUE(session->Checkpoint(state).ok());
+  for (const uint32_t restore_threads : {1u, 4u}) {
+    SCOPED_TRACE("restore_threads=" + std::to_string(restore_threads));
+    auto session = ResolutionSession::Open(collection, options);
+    ASSERT_TRUE(session.ok());
+    session->Step(total / 2);
+    ASSERT_FALSE(session->exhausted());
+    std::stringstream state;
+    ASSERT_TRUE(session->Checkpoint(state).ok());
 
-  auto restored = ResolutionSession::Restore(collection, options, state);
-  ASSERT_TRUE(restored.ok()) << restored.status();
-  EXPECT_EQ(restored->comparisons_spent(), total / 2);
-  restored->Step(0);
-  ExpectSameReport(uninterrupted->Report(), restored->Report());
+    WorkflowOptions restore_options = options;
+    restore_options.num_threads = restore_threads;
+    auto restored =
+        ResolutionSession::Restore(collection, restore_options, state);
+    ASSERT_TRUE(restored.ok()) << restored.status();
+    EXPECT_EQ(restored->comparisons_spent(), total / 2);
+    restored->Step(0);
+    ExpectSameReport(uninterrupted->Report(), restored->Report());
+  }
 }
 
 TEST(SessionTest, CheckpointEveryFewStepsStaysExact) {

@@ -340,10 +340,11 @@ TEST_F(SpillParityTest, VoteShardPruningIsByteIdenticalUnderSpilling) {
           ShardedPrune(view, opts, nullptr, &in_memory_stats);
       ASSERT_GT(in_memory.size(), 0u);
 
-      opts.memory = TinyBudget(base);
+      const extmem::MemoryBudgetOptions budget = TinyBudget(base);
       extmem::ResetSpillTelemetry();
       MetaBlockingStats seq_stats;
-      const auto spilled_seq = ShardedPrune(view, opts, nullptr, &seq_stats);
+      const auto spilled_seq =
+          ShardedPrune(view, opts, nullptr, &seq_stats, budget);
       EXPECT_GT(extmem::GetSpillTelemetry().runs_spilled, 0u);
       ASSERT_EQ(in_memory.size(), spilled_seq.size());
       EXPECT_EQ(std::memcmp(in_memory.data(), spilled_seq.data(),
@@ -356,7 +357,7 @@ TEST_F(SpillParityTest, VoteShardPruningIsByteIdenticalUnderSpilling) {
 
       for (uint32_t threads : {2u, 7u}) {
         ThreadPool pool(threads);
-        const auto spilled = ShardedPrune(view, opts, &pool);
+        const auto spilled = ShardedPrune(view, opts, &pool, nullptr, budget);
         ASSERT_EQ(in_memory.size(), spilled.size());
         EXPECT_EQ(std::memcmp(in_memory.data(), spilled.data(),
                               in_memory.size() * sizeof(WeightedComparison)),

@@ -108,6 +108,7 @@
 #include "server/server.h"
 #include "util/cli_flags.h"
 #include "util/table.h"
+#include "util/thread_pool.h"
 
 using namespace minoan;  // NOLINT
 
@@ -137,6 +138,19 @@ const std::initializer_list<std::string_view> kResolveFlags = {
     "step-budget",   "stream",      "memory-budget", "spill-dir",
     "metrics-out",   "trace-out",   "progress-every", "state",
     "blocker"};
+
+/// --threads N (0 = hardware concurrency), shared by every verb that takes
+/// it. Like the Flags numeric accessors, exits 2 with a message naming the
+/// flag on malformed or out-of-range input.
+uint32_t GetThreads(const char* verb, const Flags& flags) {
+  const uint64_t threads = flags.GetInt("threads", 1);
+  if (threads > kMaxThreads) {
+    std::fprintf(stderr, "error: %s: --threads must be in [0, %u], got %llu\n",
+                 verb, kMaxThreads, static_cast<unsigned long long>(threads));
+    std::exit(2);
+  }
+  return static_cast<uint32_t>(threads);
+}
 
 int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
@@ -299,20 +313,9 @@ Result<WorkflowOptions> ParseWorkflowOptions(const std::string& verb,
     return Status::InvalidArgument(
         verb + ": --spill-dir has no effect without --memory-budget");
   }
-  // --threads N: workflow-wide worker count (0 = hardware concurrency).
-  // Deterministic: the resolution result is identical for every value.
-  const std::string threads_arg = flags.Get("threads", "1");
-  uint64_t threads = 0;
-  const auto [end, ec] = std::from_chars(
-      threads_arg.data(), threads_arg.data() + threads_arg.size(), threads);
-  if (ec != std::errc() || end != threads_arg.data() + threads_arg.size() ||
-      threads > 1024) {
-    return Status::InvalidArgument(verb +
-                                   ": --threads must be an integer in "
-                                   "[0, 1024], got \"" +
-                                   threads_arg + "\"");
-  }
-  options.num_threads = static_cast<uint32_t>(threads);
+  // --threads N: the session's one worker count (0 = hardware
+  // concurrency). Deterministic: the result is identical for every value.
+  options.num_threads = GetThreads(verb.c_str(), flags);
   // --pin-threads: pin pool workers to cores (Linux; no-op elsewhere).
   // A cache-placement hint only — results are identical either way.
   options.pin_threads = flags.Has("pin-threads");
@@ -534,14 +537,7 @@ int CmdOnline(const Flags& flags) {
   options.benefit = ParseBenefit(flags.Get("benefit", "quantity"));
   // --threads N: warm-start scoring workers (0 = hardware concurrency).
   // Deterministic: the resolution result is identical for every value.
-  const uint64_t online_threads = flags.GetInt("threads", 1);
-  if (online_threads > 1024) {
-    std::fprintf(stderr,
-                 "error: online: --threads must be in [0, 1024], got %llu\n",
-                 static_cast<unsigned long long>(online_threads));
-    return 2;
-  }
-  options.num_threads = static_cast<uint32_t>(online_threads);
+  options.num_threads = GetThreads("online", flags);
   OnlineSession session(options);
 
   auto files = ListRdfFiles(dir);
@@ -616,12 +612,7 @@ int CmdServe(const Flags& flags) {
   options.max_sessions = flags.GetInt("max-sessions", 64);
   options.evict_after_seconds = flags.GetDouble("evict-after", 0);
   options.state_dir = flags.Get("state-dir", "/tmp/minoan-serve");
-  const uint64_t threads = flags.GetInt("threads", 1);
-  if (threads > 1024) {
-    std::fprintf(stderr, "error: serve: --threads must be in [0, 1024]\n");
-    return 2;
-  }
-  options.num_threads = static_cast<uint32_t>(threads);
+  options.num_threads = GetThreads("serve", flags);
   options.installment = flags.GetInt("installment", 2048);
   // The observability plane: the server owns every export (rolling +
   // shutdown snapshots, trace, event log), so the files carry the
