@@ -1,8 +1,9 @@
 // Experiment T8 — external-memory shuffle: in-memory vs forced-spill.
 //
 // The spill engine (src/extmem/) promises two things: (1) with a memory
-// budget, the blocking-postings and vote-shard shuffles hold bounded RAM
-// and spill sorted runs to disk, and (2) the output is BYTE-identical to
+// budget, every shard shuffle (postings, sorted-neighborhood key sort,
+// WEP/CEP edge lists, vote shards) holds bounded RAM and spills sorted runs
+// to disk, and (2) the output is BYTE-identical to
 // the in-memory path. This harness measures the price of promise (1) and
 // asserts promise (2): the full static pipeline (blocking → cleaning →
 // meta-blocking) runs in-memory and under two budgets (a roomy one and a
@@ -12,11 +13,12 @@
 // estimate, recorded for trend tracking rather than gating).
 //
 // Two mode families, each gated against its own in-memory reference:
-//   * stream-*: the default token+pis workflow under a budget — merged
-//     postings stream straight from the spill runs into the session's
-//     block store, never materializing the full postings;
-//   * sn-extsort-*: sorted neighborhood under a budget — the sorted key
-//     list is produced by the external single-stream merge sort.
+//   * stream-*: the default token+pis workflow under a budget — the one
+//     postings body takes the spilling sink, and merged postings are
+//     decoded from the spill runs into the session's block store one at a
+//     time;
+//   * sn-extsort-*: sorted neighborhood under a budget — its one-shard key
+//     shuffle takes the spilling sink, an external merge sort.
 //
 // Writes BENCH_t8_spill.json (consumed by tools/bench_compare.py; the
 // identity flag gates, single-thread in-memory timing regresses the gate).

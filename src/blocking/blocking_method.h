@@ -92,11 +92,11 @@ class BlockingMethod {
     return Build(collection, nullptr);
   }
 
-  /// External-memory budget for the postings shuffle. Disabled by default
-  /// (pure in-memory); when enabled, every postings-based build (token,
-  /// PIS, attr-cluster, q-gram) streams through spilling shard sinks, and
-  /// SortedNeighborhood's global key sort becomes an external merge sort —
-  /// byte-identical blocks either way (see extmem/shuffle.h).
+  /// External-memory budget of the blocking shuffle. It picks only the
+  /// sink: disabled (the default) keeps the postings — and
+  /// SortedNeighborhood's global key sort — in typed in-memory shards;
+  /// enabled, the same shuffle spills to sorted runs. Blocks are
+  /// byte-identical either way (see extmem/shuffle.h).
   /// Configuration, not execution: call before Build (Build itself is
   /// const and never mutates the method).
   virtual void set_memory_budget(const extmem::MemoryBudgetOptions& memory) {

@@ -29,37 +29,31 @@ void EntityGrams(const EntityCollection& collection, EntityId e, uint32_t q,
 }
 
 /// Emits the sliding-window blocks over a key-sorted (key, entity) record
-/// stream (the external path). Holds at most window_size + 1 records: the
-/// current window plus one record of lookahead to decide whether the window
-/// reaches the end of the stream. Reproduces the in-memory window loop —
-/// same starts, same window contents, same "w:<key>:<start>" keys — without
-/// the global sorted list ever existing.
-void SlideWindowOverStream(extmem::ShuffleSource& source, size_t w,
-                           BlockSink& sink) {
-  struct KeyedRecord {
-    std::string key;
-    EntityId entity;
-  };
-  std::deque<KeyedRecord> buf;
+/// cursor and returns how many it emitted. Windows of `w` records start every
+/// w/2 records, each keyed "w:<first key>:<start>", until a window reaches
+/// the last record. Holds at most w + 1 records: the current window plus one
+/// record of lookahead to decide whether the window reaches the end.
+template <typename Cursor>
+uint64_t SlideWindowOverStream(Cursor& cursor, size_t w, BlockSink& sink) {
+  std::deque<PostingCodec<std::string>::Record> buf;
+  PostingCodec<std::string>::Record record;
   bool exhausted = false;
   const auto fill = [&](size_t want) {
-    std::string_view record;
     while (!exhausted && buf.size() < want) {
-      if (!source.Next(record)) {
+      if (!cursor.Next(record)) {
         exhausted = true;
         break;
       }
-      buf.push_back({std::string(extmem::RecordKey(record)),
-                     extmem::ReadU32Le(extmem::RecordPayload(record))});
+      buf.push_back(std::move(record));
     }
   };
+  uint64_t windows = 0;
   size_t start = 0;  // absolute index of buf.front() in the sorted list
   std::vector<EntityId> window;
   std::string key;
   for (;;) {
     fill(w + 1);
-    // In-memory loop condition `start + 1 < N`: at least two records remain.
-    if (buf.size() < 2) break;
+    if (buf.size() < 2) break;  // a window needs two records
     const size_t len = std::min(w, buf.size());
     window.clear();
     for (size_t i = 0; i < len; ++i) window.push_back(buf[i].entity);
@@ -69,11 +63,12 @@ void SlideWindowOverStream(extmem::ShuffleSource& source, size_t w,
     } else {
       sink.Add(std::string_view(), window);
     }
-    // In-memory `end == N` break: the window consumed every record left.
-    if (buf.size() <= w) break;
+    ++windows;
+    if (buf.size() <= w) break;  // the window consumed every record left
     for (size_t i = 0; i < w / 2; ++i) buf.pop_front();
     start += w / 2;
   }
+  return windows;
 }
 
 }  // namespace
@@ -161,17 +156,13 @@ void QGramBlocking::BuildInto(const EntityCollection& collection,
 void SortedNeighborhoodBlocking::BuildInto(const EntityCollection& collection,
                                            ThreadPool* pool,
                                            BlockSink& sink) const {
-  // Build (key, entity) pairs: each entity contributes its rarest tokens.
-  // Extraction fans out over fixed entity chunks; a global sort by key
-  // fixes one total order, so chunk concatenation order is irrelevant.
-  //
-  // With a memory budget the global sort becomes an EXTERNAL single-stream
-  // merge sort: the records flow through ONE spilling sink (windows span
-  // arbitrary key-hash boundaries, so key-hashed sharding is not an
-  // option), whose merged stream is the stable key sort of the sequential
-  // arrival order (chunk asc, entity asc) — exactly std::sort's
-  // (key, entity) order, since an entity never emits one key twice. The
-  // window then slides over the stream with O(window) memory.
+  // Build (key, entity) records: each entity contributes its rarest tokens.
+  // Windows span arbitrary key-hash boundaries, so the global key sort is
+  // ONE shard of the shard shuffle: its stable key sort of the sequential
+  // arrival order (chunk asc, entity asc) is the (key, entity) order, since
+  // an entity never emits one key twice. The window then slides over the
+  // sorted cursor; under a memory budget the sort is external and the
+  // slider holds O(window) records.
   const uint32_t n = collection.num_entities();
   const size_t w = std::max<uint32_t>(2, options_.window_size);
 
@@ -193,87 +184,27 @@ void SortedNeighborhoodBlocking::BuildInto(const EntityCollection& collection,
     toks.resize(std::min<size_t>(options_.keys_per_entity, toks.size()));
   };
 
-  // A window block is the analog of one merged posting here; both paths
-  // emit the same count so obs parity holds across budgets.
-  uint64_t windows_emitted = 0;
-  class CountingSink : public BlockSink {
-   public:
-    CountingSink(BlockSink& inner, uint64_t& count)
-        : inner_(&inner), count_(&count) {}
-    bool wants_keys() const override { return inner_->wants_keys(); }
-    void Add(std::string_view key, std::vector<EntityId>& entities) override {
-      ++*count_;
-      inner_->Add(key, entities);
-    }
-
-   private:
-    BlockSink* inner_;
-    uint64_t* count_;
-  };
-  CountingSink counting(sink, windows_emitted);
-
-  if (memory().enabled()) {
-    extmem::RunSpilledShuffle(
-        pool, n, kBlockingChunkEntities, /*num_shards=*/1, memory(),
-        [&](size_t /*chunk*/, size_t begin, size_t end, const auto& route) {
-          std::vector<uint32_t> toks;
-          std::string record;
-          uint64_t emitted = 0;
-          for (EntityId e = static_cast<EntityId>(begin);
-               e < static_cast<EntityId>(end); ++e) {
-            entity_keys(e, toks);
-            for (const uint32_t tok : toks) {
-              extmem::EncodeKey(std::string(collection.tokens().View(tok)),
-                                record);
-              extmem::AppendU32Le(record, e);
-              route(0, record);
-              ++emitted;
-            }
+  using Codec = PostingCodec<std::string>;
+  extmem::RunShardShuffle<Codec>(
+      pool, n, kBlockingChunkEntities, /*num_shards=*/1, memory(),
+      [&](size_t /*chunk*/, size_t begin, size_t end, const auto& route) {
+        std::vector<uint32_t> toks;
+        uint64_t emitted = 0;
+        for (EntityId e = static_cast<EntityId>(begin);
+             e < static_cast<EntityId>(end); ++e) {
+          entity_keys(e, toks);
+          for (const uint32_t tok : toks) {
+            route(0, Codec::Record{std::string(collection.tokens().View(tok)),
+                                   e});
           }
-          emissions_counter.Add(emitted);
-        },
-        [&](uint32_t /*shard*/, extmem::ShuffleSource& source) {
-          SlideWindowOverStream(source, w, counting);
-        });
-    postings_counter.Add(windows_emitted);
-    return;
-  }
-
-  std::vector<std::vector<std::pair<std::string, EntityId>>> chunk_keyed(
-      NumChunks(n, kBlockingChunkEntities));
-  RunChunkedTasks(pool, n, kBlockingChunkEntities, [&](size_t c, size_t begin,
-                                                       size_t end) {
-    std::vector<uint32_t> toks;
-    for (size_t idx = begin; idx < end; ++idx) {
-      const EntityId e = static_cast<EntityId>(idx);
-      entity_keys(e, toks);
-      for (const uint32_t tok : toks) {
-        chunk_keyed[c].emplace_back(
-            std::string(collection.tokens().View(tok)), e);
-      }
-    }
-    emissions_counter.Add(chunk_keyed[c].size());
-  });
-  std::vector<std::pair<std::string, EntityId>> keyed =
-      FlattenInOrder(chunk_keyed);
-  std::sort(keyed.begin(), keyed.end());
-
-  // Slide a window over the sorted key list; each window is one block.
-  std::vector<EntityId> window;
-  std::string key;
-  for (size_t start = 0; start + 1 < keyed.size(); start += w / 2) {
-    const size_t end = std::min(keyed.size(), start + w);
-    window.clear();
-    for (size_t i = start; i < end; ++i) window.push_back(keyed[i].second);
-    if (counting.wants_keys()) {
-      key = "w:" + keyed[start].first + ":" + std::to_string(start);
-      counting.Add(key, window);
-    } else {
-      counting.Add(std::string_view(), window);
-    }
-    if (end == keyed.size()) break;
-  }
-  postings_counter.Add(windows_emitted);
+          emitted += toks.size();
+        }
+        emissions_counter.Add(emitted);
+      },
+      [&](uint32_t /*shard*/, auto& cursor) {
+        // A window block is the analog of one merged posting here.
+        postings_counter.Add(SlideWindowOverStream(cursor, w, sink));
+      });
 }
 
 }  // namespace minoan

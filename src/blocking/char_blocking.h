@@ -8,7 +8,9 @@
 //     "heraklion" and "heraklio" still meet in 7 of their 8 trigram blocks;
 //   * SortedNeighborhoodBlocking sorts descriptions by each of their tokens
 //     and blocks every window of `window_size` consecutive entries, catching
-//     near-equal keys that sort adjacently.
+//     near-equal keys that sort adjacently. The sort is a one-shard shard
+//     shuffle (extmem/shuffle.h), so a memory budget makes it an external
+//     merge sort without a second window loop.
 
 #ifndef MINOAN_BLOCKING_CHAR_BLOCKING_H_
 #define MINOAN_BLOCKING_CHAR_BLOCKING_H_

@@ -2,12 +2,13 @@
 // MemoryBudgetOptions: the external-memory knob of the shuffle phases.
 //
 // MinoanER targets Web-of-Data-scale collections whose intermediate shuffle
-// state (blocking postings, meta-blocking vote shards) can exceed RAM. A
-// memory budget turns both shuffles into spill-to-disk shuffles (see
-// extmem/shuffle.h): each shard buffers records up to a bounded run size,
-// spills sorted runs to temp files, and merges them back in the exact byte
-// order the in-memory path emits — the output is bit-identical with and
-// without spilling, at every thread count.
+// state (blocking postings, the sorted-neighborhood key sort, the WEP/CEP
+// edge lists, meta-blocking vote shards) can exceed RAM. Each of those is one
+// shard shuffle (extmem/shuffle.h), and the budget picks only its sink: with
+// a budget each shard buffers records up to a bounded run size, spills
+// sorted runs to temp files, and merges them back in the exact order the
+// in-memory sink yields — the output is bit-identical with and without
+// spilling, at every thread count.
 
 #ifndef MINOAN_EXTMEM_MEMORY_BUDGET_H_
 #define MINOAN_EXTMEM_MEMORY_BUDGET_H_
@@ -34,7 +35,7 @@ inline constexpr uint64_t kMaxSpillRunBytes = 1ull << 30;
 inline constexpr uint32_t kDefaultMergeFanin = 16;
 
 /// External-memory budget for the shuffle phases. Default-constructed =
-/// disabled (pure in-memory, today's fast path, zero overhead).
+/// disabled (typed in-memory sinks, no record encoding).
 struct MemoryBudgetOptions {
   /// Total bytes the intermediate shuffle state of one phase may hold in
   /// RAM before spilling, split evenly across that phase's shards.
@@ -58,7 +59,7 @@ struct MemoryBudgetOptions {
   /// effective minimum is 2.
   uint32_t max_merge_fanin = 0;
 
-  /// True when any budget is set: the shuffles take the spill path.
+  /// True when any budget is set: the shuffles take the spilling sink.
   bool enabled() const {
     return shuffle_budget_bytes > 0 || spill_run_bytes > 0;
   }

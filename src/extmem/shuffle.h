@@ -1,14 +1,15 @@
 // Copyright 2026 The MinoanER Authors.
-// The external-memory shuffle engine: bounded-memory shard sinks that spill
-// sorted runs to disk and merge them back in the exact byte order the
-// in-memory shuffle path produces.
+// The shard shuffle: the one engine under every deterministic shard core
+// of the pipeline — blocking postings and the sorted-neighborhood key sort
+// (blocking/), the WEP/CEP edge lists and the WNP/CNP vote shards
+// (metablocking/sharded_prune.cc). Each core is written once as a typed
+// scan/consume pair over RunShardShuffle / RunMergedShardShuffle; the memory
+// budget picks only the sink (in-memory typed vectors, or spilling sinks).
 //
-// Both deterministic shard cores of the pipeline — the blocking postings
-// shuffle (blocking/sharded_blocking.h) and the meta-blocking vote shards
-// (metablocking/sharded_prune.cc) — share one contract: records are routed
-// to key-hashed shards IN ARRIVAL ORDER (chunk order, then within-chunk
-// scan order), and each shard's output is the stable sort of its records by
-// key. The spill engine reproduces that order with bounded memory:
+// The contract: records are routed to shards IN ARRIVAL ORDER (chunk order,
+// then within-chunk scan order), and each shard's output is the stable sort
+// of its records by key. The spilling sink reproduces that order with
+// bounded memory:
 //
 //   * records are serialized as [u32 LE key_len][key bytes][payload], where
 //     the key bytes are ORDER-PRESERVING (big-endian integers, raw strings)
@@ -30,11 +31,14 @@
 #ifndef MINOAN_EXTMEM_SHUFFLE_H_
 #define MINOAN_EXTMEM_SHUFFLE_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "extmem/memory_budget.h"
@@ -252,13 +256,35 @@ SpillTelemetry GetSpillTelemetry();
 void ResetSpillTelemetry();
 
 // ---------------------------------------------------------------------------
-// The chunked spill-shuffle driver
+// The typed shard-shuffle driver
 // ---------------------------------------------------------------------------
+// Every shard core of the pipeline is one scan/consume pair over this
+// driver; the memory budget picks only the sink underneath. A `Codec`
+// describes the record type:
+//
+//   using Record = ...;
+//   static bool Less(const Record&, const Record&);       // the sort order
+//   static void Encode(const Record&, std::string& out);  // overwrites out
+//   static void Decode(std::string_view record, Record&);
+//
+// Encode must be order-preserving: the key bytes of Encode(a) compare below
+// those of Encode(b) exactly when Less(a, b).
+//
+//   * In-memory sink (budget disabled): per-(chunk, shard) typed vectors,
+//     gathered per shard in chunk order and std::stable_sort'ed by Less.
+//   * Spilling sink (budget enabled): records are encoded into SpillShuffle
+//     sinks in the same arrival order, merged back from sorted runs, and
+//     decoded on read.
+//
+// Either way a shard reads its records sorted by Less with ties in arrival
+// order, so consumers see identical records at every budget and thread
+// count.
 
-/// Chunks scanned per wave. Bounds the transient per-wave emission memory to
-/// O(wave × chunk emissions) independently of the corpus size; output is
-/// byte-identical for ANY wave size (wave boundaries only decide when runs
-/// spill, never the record order fed to a shard).
+/// Chunks scanned per wave by the spilling sink. Bounds the transient
+/// per-wave emission memory to O(wave × chunk emissions) independently of
+/// the corpus size; output is byte-identical for ANY wave size (wave
+/// boundaries only decide when runs spill, never the record order fed to a
+/// shard).
 inline constexpr size_t kSpillWaveChunks = 64;
 
 /// Appends a framed copy of `record` to `out`.
@@ -278,75 +304,246 @@ void ForEachFramed(std::string_view framed, const Fn& fn) {
   }
 }
 
-/// The scatter half of a deterministic bounded-memory shuffle: scans
-/// [0, total) in fixed-size chunks, dealt in waves of kSpillWaveChunks
-/// (parallel within a wave); `scan(chunk, begin, end, route)` serializes
-/// each record and calls `route(shard, record)`. Each shard sink receives
-/// its records in (chunk, within-chunk scan) order — the sequential arrival
-/// order — spilling sorted runs when over budget (parallel across shards;
-/// a shard is owned by exactly one task).
-///
-/// Chunk and shard task boundaries are fixed (never derived from the worker
-/// count), so each sink's arrival order — and therefore its merged output —
-/// is byte-identical at every thread count and for every budget.
-template <typename ScanFn>
-void ScatterIntoSinks(ThreadPool* pool, size_t total, size_t chunk_size,
-                      uint32_t num_shards, const ScanFn& scan,
-                      std::vector<std::unique_ptr<SpillShuffle>>& sinks) {
-  const size_t num_chunks = NumChunks(total, chunk_size);
-  for (size_t wave_begin = 0; wave_begin < num_chunks;
-       wave_begin += kSpillWaveChunks) {
-    const size_t wave_end =
-        std::min(num_chunks, wave_begin + kSpillWaveChunks);
-    // Per (chunk-of-wave, shard) framed record slices, built in parallel.
-    std::vector<std::vector<std::string>> slices(
-        wave_end - wave_begin, std::vector<std::string>(num_shards));
-    RunPoolTasks(pool, wave_end - wave_begin, [&](size_t i) {
-      const size_t c = wave_begin + i;
-      const size_t begin = c * chunk_size;
-      const size_t end = std::min(total, begin + chunk_size);
-      scan(c, begin, end, [&](uint32_t shard, std::string_view record) {
-        AppendFramed(slices[i][shard], record);
-      });
-    });
-    // Feed the wave into the sinks in chunk order.
-    RunPoolTasks(pool, num_shards, [&](size_t s) {
-      for (auto& chunk_slices : slices) {
-        ForEachFramed(chunk_slices[s], [&](std::string_view record) {
-          sinks[s]->Add(record);
-        });
-        chunk_slices[s].clear();
-        chunk_slices[s].shrink_to_fit();
-      }
-    });
+/// One shard's sorted records: a typed vector (in-memory sink) or the
+/// decoded merge of its spilled runs (spilling sink).
+template <typename Codec>
+class ShardCursor {
+ public:
+  using Record = typename Codec::Record;
+
+  ShardCursor() = default;
+  explicit ShardCursor(std::vector<Record> sorted)
+      : records_(std::move(sorted)) {}
+  explicit ShardCursor(std::unique_ptr<ShuffleSource> source)
+      : source_(std::move(source)) {}
+
+  /// Moves the next record into `out`; false at end of shard.
+  bool Next(Record& out) {
+    if (source_ != nullptr) {
+      std::string_view bytes;
+      if (!source_->Next(bytes)) return false;
+      Codec::Decode(bytes, out);
+      return true;
+    }
+    if (next_ == records_.size()) return false;
+    out = std::move(records_[next_++]);
+    return true;
   }
+
+ private:
+  std::vector<Record> records_;
+  size_t next_ = 0;
+  std::unique_ptr<ShuffleSource> source_;
+};
+
+/// K-way merge of shard cursors into one stream sorted by Codec::Less, key
+/// ties broken by shard index. Holds one record per shard.
+template <typename Codec>
+class MergedCursor {
+ public:
+  using Record = typename Codec::Record;
+
+  explicit MergedCursor(std::vector<ShardCursor<Codec>>& shards)
+      : shards_(&shards), heads_(shards.size()) {
+    for (uint32_t s = 0; s < shards.size(); ++s) {
+      if (shards[s].Next(heads_[s])) heap_.push_back(s);
+    }
+    for (size_t i = heap_.size() / 2; i-- > 0;) SiftDown(i);
+  }
+
+  bool Next(Record& out) {
+    if (heap_.empty()) return false;
+    const uint32_t top = heap_[0];
+    std::swap(out, heads_[top]);
+    if (!(*shards_)[top].Next(heads_[top])) {
+      heap_[0] = heap_.back();
+      heap_.pop_back();
+      SiftDown(0);
+    } else if (Codec::Less(out, heads_[top])) {
+      // A new key: the shard may have lost the minimum. An equal key keeps
+      // its (key, shard) rank, so runs of one key skip the sift.
+      SiftDown(0);
+    }
+    return true;
+  }
+
+ private:
+  bool Before(uint32_t a, uint32_t b) const {
+    if (Codec::Less(heads_[a], heads_[b])) return true;
+    if (Codec::Less(heads_[b], heads_[a])) return false;
+    return a < b;
+  }
+
+  void SiftDown(size_t i) {
+    const size_t n = heap_.size();
+    for (;;) {
+      const size_t left = 2 * i + 1;
+      const size_t right = left + 1;
+      size_t best = i;
+      if (left < n && Before(heap_[left], heap_[best])) best = left;
+      if (right < n && Before(heap_[right], heap_[best])) best = right;
+      if (best == i) return;
+      std::swap(heap_[i], heap_[best]);
+      i = best;
+    }
+  }
+
+  std::vector<ShardCursor<Codec>>* shards_;
+  std::vector<Record> heads_;
+  std::vector<uint32_t> heap_;  // shard indices, min-heap by Before
+};
+
+/// The shuffle state behind RunShardShuffle / RunMergedShardShuffle: the
+/// only place the memory budget is consulted.
+template <typename Codec>
+class ShardShuffle {
+ public:
+  using Record = typename Codec::Record;
+
+  ShardShuffle(ThreadPool* pool, uint32_t num_shards,
+               const MemoryBudgetOptions& memory)
+      : pool_(pool), num_shards_(num_shards) {
+    if (!memory.enabled()) return;
+    dir_ = std::make_unique<ScopedSpillDir>(memory.spill_dir);
+    const uint64_t run_bytes = memory.RunBytesPerShard(num_shards);
+    sinks_.resize(num_shards);
+    for (auto& sink : sinks_) {
+      sink = std::make_unique<SpillShuffle>(run_bytes, dir_.get(),
+                                            memory.MergeFanin());
+    }
+  }
+
+  /// Scans [0, total) in fixed-size chunks (parallel across chunks);
+  /// `scan(chunk, begin, end, route)` calls `route(shard, record)` per
+  /// record. Chunk and shard boundaries never depend on the worker count,
+  /// so each shard's arrival order — chunk order, then scan order — is the
+  /// sequential one at every thread count.
+  template <typename ScanFn>
+  void Scatter(size_t total, size_t chunk_size, const ScanFn& scan) {
+    if (dir_ != nullptr) {
+      ScatterIntoSinks(total, chunk_size, scan);
+      return;
+    }
+    // Per-worker routing buffers; each chunk's slices are then copied out
+    // at their exact size.
+    WorkerScratch<std::vector<std::vector<Record>>> arenas(pool_);
+    slices_.assign(NumChunks(total, chunk_size),
+                   std::vector<std::vector<Record>>(num_shards_));
+    RunChunkedTasks(pool_, total, chunk_size,
+                    [&](size_t c, size_t begin, size_t end) {
+                      auto& arena = arenas.Local();
+                      arena.resize(num_shards_);
+                      scan(c, begin, end, [&](uint32_t shard, auto&& record) {
+                        arena[shard].push_back(
+                            std::forward<decltype(record)>(record));
+                      });
+                      for (uint32_t s = 0; s < num_shards_; ++s) {
+                        slices_[c][s].assign(
+                            std::make_move_iterator(arena[s].begin()),
+                            std::make_move_iterator(arena[s].end()));
+                        arena[s].clear();
+                      }
+                    });
+  }
+
+  /// Shard `s`'s records, sorted by Codec::Less with ties in arrival
+  /// order. Call once per shard after Scatter; safe to call for distinct
+  /// shards concurrently.
+  ShardCursor<Codec> Finish(uint32_t s) {
+    if (dir_ != nullptr) return ShardCursor<Codec>(sinks_[s]->Finish());
+    size_t total = 0;
+    for (const auto& chunk : slices_) total += chunk[s].size();
+    std::vector<Record> records;
+    records.reserve(total);
+    for (auto& chunk : slices_) {
+      records.insert(records.end(), std::make_move_iterator(chunk[s].begin()),
+                     std::make_move_iterator(chunk[s].end()));
+      std::vector<Record>().swap(chunk[s]);
+    }
+    std::stable_sort(records.begin(), records.end(),
+                     [](const Record& a, const Record& b) {
+                       return Codec::Less(a, b);
+                     });
+    return ShardCursor<Codec>(std::move(records));
+  }
+
+ private:
+  /// The spilling scatter: chunks are scanned in waves of kSpillWaveChunks
+  /// (parallel within a wave) into framed per-(chunk, shard) byte slices,
+  /// then each shard's sink takes its slices in chunk order (parallel across
+  /// shards; a shard is owned by exactly one task).
+  template <typename ScanFn>
+  void ScatterIntoSinks(size_t total, size_t chunk_size, const ScanFn& scan) {
+    const size_t num_chunks = NumChunks(total, chunk_size);
+    for (size_t wave_begin = 0; wave_begin < num_chunks;
+         wave_begin += kSpillWaveChunks) {
+      const size_t wave_end =
+          std::min(num_chunks, wave_begin + kSpillWaveChunks);
+      std::vector<std::vector<std::string>> slices(
+          wave_end - wave_begin, std::vector<std::string>(num_shards_));
+      RunPoolTasks(pool_, wave_end - wave_begin, [&](size_t i) {
+        const size_t c = wave_begin + i;
+        const size_t begin = c * chunk_size;
+        const size_t end = std::min(total, begin + chunk_size);
+        std::string bytes;
+        scan(c, begin, end, [&](uint32_t shard, const Record& record) {
+          Codec::Encode(record, bytes);
+          AppendFramed(slices[i][shard], bytes);
+        });
+      });
+      RunPoolTasks(pool_, num_shards_, [&](size_t s) {
+        for (auto& chunk_slices : slices) {
+          ForEachFramed(chunk_slices[s], [&](std::string_view record) {
+            sinks_[s]->Add(record);
+          });
+          std::string().swap(chunk_slices[s]);
+        }
+      });
+    }
+  }
+
+  ThreadPool* pool_;
+  uint32_t num_shards_;
+  // In-memory sink: [chunk][shard] records in scan order.
+  std::vector<std::vector<std::vector<Record>>> slices_;
+  // Spilling sink; dir_ outlives sinks_ (declared first, destroyed last).
+  std::unique_ptr<ScopedSpillDir> dir_;
+  std::vector<std::unique_ptr<SpillShuffle>> sinks_;
+};
+
+/// Drives one deterministic shard shuffle over [0, total) dealt in
+/// `chunk_size` chunks: ShardShuffle::Scatter, then `consume(shard, cursor)`
+/// reads each shard's sorted records through `cursor.Next(record)`
+/// (parallel across shards). Temp files are removed before returning, and
+/// when an exception unwinds.
+template <typename Codec, typename ScanFn, typename ConsumeFn>
+void RunShardShuffle(ThreadPool* pool, size_t total, size_t chunk_size,
+                     uint32_t num_shards, const MemoryBudgetOptions& memory,
+                     const ScanFn& scan, const ConsumeFn& consume) {
+  ShardShuffle<Codec> shuffle(pool, num_shards, memory);
+  shuffle.Scatter(total, chunk_size, scan);
+  RunPoolTasks(pool, num_shards, [&](size_t s) {
+    ShardCursor<Codec> cursor = shuffle.Finish(static_cast<uint32_t>(s));
+    consume(static_cast<uint32_t>(s), cursor);
+  });
 }
 
-/// Drives one deterministic bounded-memory shuffle over [0, total) dealt in
-/// fixed-size chunks: ScatterIntoSinks, then `consume(shard, source)`
-/// streams each shard's merged, key-sorted records (parallel across
-/// shards). The consumed streams are byte-identical at every thread count
-/// and for every budget. Temp files are removed before returning, and by
-/// ScopedSpillDir's destructor when an exception unwinds.
-template <typename ScanFn, typename ConsumeFn>
-void RunSpilledShuffle(ThreadPool* pool, size_t total, size_t chunk_size,
-                       uint32_t num_shards,
-                       const MemoryBudgetOptions& memory, const ScanFn& scan,
-                       const ConsumeFn& consume) {
-  ScopedSpillDir dir(memory.spill_dir);
-  const uint64_t run_bytes = memory.RunBytesPerShard(num_shards);
-  std::vector<std::unique_ptr<SpillShuffle>> sinks(num_shards);
-  for (auto& sink : sinks) {
-    sink = std::make_unique<SpillShuffle>(run_bytes, &dir, memory.MergeFanin());
-  }
-
-  ScatterIntoSinks(pool, total, chunk_size, num_shards, scan, sinks);
-
+/// RunShardShuffle for shard-disjoint keys (every key routed to exactly one
+/// shard): the finished shards are k-way-merged and `consume(cursor)` reads
+/// one stream in global key order.
+template <typename Codec, typename ScanFn, typename ConsumeFn>
+void RunMergedShardShuffle(ThreadPool* pool, size_t total, size_t chunk_size,
+                           uint32_t num_shards,
+                           const MemoryBudgetOptions& memory,
+                           const ScanFn& scan, const ConsumeFn& consume) {
+  ShardShuffle<Codec> shuffle(pool, num_shards, memory);
+  shuffle.Scatter(total, chunk_size, scan);
+  std::vector<ShardCursor<Codec>> shards(num_shards);
   RunPoolTasks(pool, num_shards, [&](size_t s) {
-    std::unique_ptr<ShuffleSource> source = sinks[s]->Finish();
-    consume(static_cast<uint32_t>(s), *source);
-    sinks[s].reset();  // release run readers before the dir is removed
+    shards[s] = shuffle.Finish(static_cast<uint32_t>(s));
   });
+  MergedCursor<Codec> merged(shards);
+  consume(merged);
 }
 
 }  // namespace extmem

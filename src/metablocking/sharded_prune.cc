@@ -40,6 +40,49 @@ struct Nomination {
   }
 };
 
+/// Shuffle codec of the WEP/CEP edge lists: edges sorted by weight
+/// descending, pair ascending (the SortByWeightDescending order). Encoded
+/// key [~weight bits BE][pair BE], payload [weight bits LE]: every scheme's
+/// weight is finite and >= 0 (never -0.0), so the complemented bit pattern
+/// orders bytes by weight descending.
+struct EdgeCodec {
+  using Record = EdgeRank;
+  static bool Less(const EdgeRank& a, const EdgeRank& b) { return b < a; }
+  static void Encode(const EdgeRank& edge, std::string& out) {
+    out.clear();
+    extmem::AppendU32Le(out, 16);
+    extmem::AppendU64Be(out, ~std::bit_cast<uint64_t>(edge.weight));
+    extmem::AppendU64Be(out, edge.key);
+    extmem::AppendU64Le(out, std::bit_cast<uint64_t>(edge.weight));
+  }
+  static void Decode(std::string_view bytes, EdgeRank& edge) {
+    edge.key = extmem::ReadU64Be(extmem::RecordKey(bytes).substr(8, 8));
+    edge.weight = std::bit_cast<double>(
+        extmem::ReadU64Le(extmem::RecordPayload(bytes)));
+  }
+};
+
+/// Shuffle codec of the node-centric vote shards: (pair, nominator)-keyed
+/// records carrying the nominator's weight.
+struct NominationCodec {
+  using Record = Nomination;
+  static bool Less(const Nomination& a, const Nomination& b) { return a < b; }
+  static void Encode(const Nomination& nom, std::string& out) {
+    out.clear();
+    extmem::AppendU32Le(out, 12);  // key: pair + nominator
+    extmem::AppendU64Be(out, nom.key);
+    extmem::AppendU32Be(out, nom.nominator);
+    extmem::AppendU64Le(out, std::bit_cast<uint64_t>(nom.weight));
+  }
+  static void Decode(std::string_view bytes, Nomination& nom) {
+    const std::string_view key = extmem::RecordKey(bytes);
+    nom.key = extmem::ReadU64Be(key.substr(0, 8));
+    nom.nominator = extmem::ReadU32Be(key.substr(8, 4));
+    nom.weight = std::bit_cast<double>(
+        extmem::ReadU64Le(extmem::RecordPayload(bytes)));
+  }
+};
+
 /// Order-fixed partial aggregate of one entity chunk.
 struct ChunkPartial {
   double weight_sum = 0.0;
@@ -53,14 +96,7 @@ std::vector<WeightedComparison> ShardedPrune(
     ThreadPool* pool, MetaBlockingStats* stats,
     const extmem::MemoryBudgetOptions& memory) {
   const uint32_t n = view.collection().num_entities();
-  const size_t num_chunks =
-      (static_cast<size_t>(n) + kPruneChunkEntities - 1) / kPruneChunkEntities;
-  const auto chunk_range = [n](size_t c) {
-    const EntityId begin = static_cast<EntityId>(c * kPruneChunkEntities);
-    const EntityId end = static_cast<EntityId>(
-        std::min<size_t>(n, (c + 1) * kPruneChunkEntities));
-    return std::pair<EntityId, EntityId>(begin, end);
-  };
+  const size_t num_chunks = NumChunks(n, kPruneChunkEntities);
 
   std::vector<WeightedComparison> retained;
   uint64_t graph_edges = 0;
@@ -73,11 +109,12 @@ std::vector<WeightedComparison> ShardedPrune(
       // Pass 1: per-chunk partial sums, folded in chunk order so the global
       // mean is one fixed floating-point reduction for every thread count.
       std::vector<ChunkPartial> partials(num_chunks);
-      RunPoolTasks(pool, num_chunks, [&](size_t c) {
+      RunChunkedTasks(pool, n, kPruneChunkEntities,
+                      [&](size_t c, size_t begin, size_t end) {
         NeighborScratch& scratch = TlsNeighborScratch(n);
         ChunkPartial partial;
-        const auto [begin, end] = chunk_range(c);
-        for (EntityId e = begin; e < end; ++e) {
+        for (EntityId e = static_cast<EntityId>(begin);
+             e < static_cast<EntityId>(end); ++e) {
           view.ForNeighbors(scratch, e, /*only_greater=*/true,
                             [&](EntityId nb, uint32_t common, double arcs) {
                               partial.weight_sum +=
@@ -94,153 +131,71 @@ std::vector<WeightedComparison> ShardedPrune(
       const double mean = graph_edges > 0
                               ? weight_sum / static_cast<double>(graph_edges)
                               : 0.0;
-      if (memory.enabled()) {
-        // Pass 2, external: surviving edges stream through ONE spilling sink
-        // keyed [~weight BE][pair BE]. Every scheme's weight is finite and
-        // >= 0 (never -0.0), so the complemented bit pattern orders bytes by
-        // weight descending, pair ascending — the SortByWeightDescending
-        // order — and the edge list never sits in memory whole. Keys are
-        // unique per edge (only_greater emits each pair once), so merge
-        // tie-breaks never fire.
-        extmem::RunSpilledShuffle(
-            pool, n, kPruneChunkEntities, /*num_shards=*/1, memory,
-            [&](size_t /*c*/, size_t begin, size_t end, const auto& route) {
-              NeighborScratch& scratch = TlsNeighborScratch(n);
-              std::string record;
-              for (EntityId e = static_cast<EntityId>(begin);
-                   e < static_cast<EntityId>(end); ++e) {
-                view.ForNeighbors(
-                    scratch, e, true,
-                    [&](EntityId nb, uint32_t common, double arcs) {
-                      const double w = view.EdgeWeight(e, nb, common, arcs);
-                      if (w < mean) return;
-                      record.clear();
-                      extmem::AppendU32Le(record, 16);
-                      extmem::AppendU64Be(record,
-                                          ~std::bit_cast<uint64_t>(w));
-                      extmem::AppendU64Be(record, PairKey(e, nb));
-                      extmem::AppendU64Le(record, std::bit_cast<uint64_t>(w));
-                      route(0, record);
-                    });
-              }
-            },
-            [&](uint32_t /*s*/, extmem::ShuffleSource& source) {
-              std::string_view record;
-              while (source.Next(record)) {
-                const uint64_t key = extmem::ReadU64Be(
-                    extmem::RecordKey(record).substr(8, 8));
-                const double w = std::bit_cast<double>(
-                    extmem::ReadU64Le(extmem::RecordPayload(record)));
-                retained.push_back(
-                    {PairKeyFirst(key), PairKeySecond(key), w});
-              }
-            });
-        break;
-      }
-      // Pass 2: retain edges at or above the mean, chunk-local then merged.
-      std::vector<std::vector<WeightedComparison>> kept(num_chunks);
-      RunPoolTasks(pool, num_chunks, [&](size_t c) {
-        NeighborScratch& scratch = TlsNeighborScratch(n);
-        const auto [begin, end] = chunk_range(c);
-        for (EntityId e = begin; e < end; ++e) {
-          view.ForNeighbors(scratch, e, true,
-                            [&](EntityId nb, uint32_t common, double arcs) {
-                              const double w =
-                                  view.EdgeWeight(e, nb, common, arcs);
-                              if (w >= mean) kept[c].push_back({e, nb, w});
-                            });
-        }
-      });
-      retained = FlattenInOrder(kept);
+      // Pass 2: edges at or above the mean, in their final order — one
+      // shuffle shard keyed by (weight desc, pair asc). Keys are unique per
+      // edge (only_greater emits each pair once).
+      extmem::RunShardShuffle<EdgeCodec>(
+          pool, n, kPruneChunkEntities, /*num_shards=*/1, memory,
+          [&](size_t /*c*/, size_t begin, size_t end, const auto& route) {
+            NeighborScratch& scratch = TlsNeighborScratch(n);
+            for (EntityId e = static_cast<EntityId>(begin);
+                 e < static_cast<EntityId>(end); ++e) {
+              view.ForNeighbors(
+                  scratch, e, true,
+                  [&](EntityId nb, uint32_t common, double arcs) {
+                    const double w = view.EdgeWeight(e, nb, common, arcs);
+                    if (w >= mean) route(0, EdgeRank{w, PairKey(e, nb)});
+                  });
+            }
+          },
+          [&](uint32_t /*s*/, auto& cursor) {
+            for (EdgeRank edge{}; cursor.Next(edge);) {
+              retained.push_back({PairKeyFirst(edge.key),
+                                  PairKeySecond(edge.key), edge.weight});
+            }
+          });
       break;
     }
     case PruningScheme::kCep: {
-      // K = half the total block assignments (BC/2, Papadakis). Per-chunk
-      // top-K heaps merge into one exact global selection; the (weight, key)
-      // total order makes the selected set insertion-order independent.
+      // K = half the total block assignments (BC/2, Papadakis). Each chunk
+      // keeps its own top-K; the union of those survivors, in one shuffle
+      // shard ordered by (weight desc, pair asc), starts with the exact
+      // global top-K — every global top-K edge is in its chunk's top-K
+      // under the same total order.
       const uint64_t k =
           std::max<uint64_t>(1, view.total_block_assignments() / 2);
       std::vector<ChunkPartial> partials(num_chunks);
-      if (memory.enabled()) {
-        // External top-K: ALL edges stream through one spilling sink keyed
-        // [~weight BE][pair BE] (weight descending, pair ascending — see the
-        // WEP case for the encoding argument); the first K records of the
-        // merged stream are exactly the set the in-memory per-chunk heaps
-        // select, because both selections use the same (weight, pair) total
-        // order. Peak memory is the spill budget + K retained edges, not
-        // the full edge list.
-        extmem::RunSpilledShuffle(
-            pool, n, kPruneChunkEntities, /*num_shards=*/1, memory,
-            [&](size_t c, size_t begin, size_t end, const auto& route) {
-              NeighborScratch& scratch = TlsNeighborScratch(n);
-              ChunkPartial partial;
-              std::string record;
-              for (EntityId e = static_cast<EntityId>(begin);
-                   e < static_cast<EntityId>(end); ++e) {
-                view.ForNeighbors(
-                    scratch, e, true,
-                    [&](EntityId nb, uint32_t common, double arcs) {
-                      const double w = view.EdgeWeight(e, nb, common, arcs);
-                      partial.weight_sum += w;
-                      ++partial.edges;
-                      record.clear();
-                      extmem::AppendU32Le(record, 16);
-                      extmem::AppendU64Be(record,
-                                          ~std::bit_cast<uint64_t>(w));
-                      extmem::AppendU64Be(record, PairKey(e, nb));
-                      extmem::AppendU64Le(record, std::bit_cast<uint64_t>(w));
-                      route(0, record);
-                    });
-              }
-              partials[c] = partial;
-            },
-            [&](uint32_t /*s*/, extmem::ShuffleSource& source) {
-              std::string_view record;
-              while (retained.size() < k && source.Next(record)) {
-                const uint64_t key = extmem::ReadU64Be(
-                    extmem::RecordKey(record).substr(8, 8));
-                const double w = std::bit_cast<double>(
-                    extmem::ReadU64Le(extmem::RecordPayload(record)));
-                retained.push_back(
-                    {PairKeyFirst(key), PairKeySecond(key), w});
-              }
-            });
-        for (const ChunkPartial& p : partials) {
-          weight_sum += p.weight_sum;
-          graph_edges += p.edges;
-        }
-        break;
-      }
-      std::vector<TopK<EdgeRank>> tops(num_chunks, TopK<EdgeRank>(k));
-      RunPoolTasks(pool, num_chunks, [&](size_t c) {
-        NeighborScratch& scratch = TlsNeighborScratch(n);
-        ChunkPartial partial;
-        const auto [begin, end] = chunk_range(c);
-        for (EntityId e = begin; e < end; ++e) {
-          view.ForNeighbors(scratch, e, true,
-                            [&](EntityId nb, uint32_t common, double arcs) {
-                              const double w =
-                                  view.EdgeWeight(e, nb, common, arcs);
-                              partial.weight_sum += w;
-                              ++partial.edges;
-                              tops[c].Push(EdgeRank{w, PairKey(e, nb)});
-                            });
-        }
-        partials[c] = partial;
-      });
+      extmem::RunShardShuffle<EdgeCodec>(
+          pool, n, kPruneChunkEntities, /*num_shards=*/1, memory,
+          [&](size_t c, size_t begin, size_t end, const auto& route) {
+            NeighborScratch& scratch = TlsNeighborScratch(n);
+            ChunkPartial partial;
+            TopK<EdgeRank> top(k);
+            for (EntityId e = static_cast<EntityId>(begin);
+                 e < static_cast<EntityId>(end); ++e) {
+              view.ForNeighbors(
+                  scratch, e, true,
+                  [&](EntityId nb, uint32_t common, double arcs) {
+                    const double w = view.EdgeWeight(e, nb, common, arcs);
+                    partial.weight_sum += w;
+                    ++partial.edges;
+                    top.Push(EdgeRank{w, PairKey(e, nb)});
+                  });
+            }
+            partials[c] = partial;
+            for (const EdgeRank& edge : top.TakeSortedDescending()) {
+              route(0, edge);
+            }
+          },
+          [&](uint32_t /*s*/, auto& cursor) {
+            for (EdgeRank edge{}; retained.size() < k && cursor.Next(edge);) {
+              retained.push_back({PairKeyFirst(edge.key),
+                                  PairKeySecond(edge.key), edge.weight});
+            }
+          });
       for (const ChunkPartial& p : partials) {
         weight_sum += p.weight_sum;
         graph_edges += p.edges;
-      }
-      TopK<EdgeRank> top(k);
-      for (TopK<EdgeRank>& chunk_top : tops) {
-        for (const EdgeRank& edge : chunk_top.TakeSortedDescending()) {
-          top.Push(edge);
-        }
-      }
-      for (const EdgeRank& edge : top.TakeSortedDescending()) {
-        retained.push_back(
-            {PairKeyFirst(edge.key), PairKeySecond(edge.key), edge.weight});
       }
       break;
     }
@@ -248,8 +203,8 @@ std::vector<WeightedComparison> ShardedPrune(
     case PruningScheme::kCnp: {
       // Node-centric: each node nominates edges; an edge survives when
       // nominated by either endpoint (standard) or both (reciprocal).
-      // Phase A routes nominations into PairKey-hashed shards (chunk-local
-      // buffers, no shared state); phase B aggregates each shard.
+      // Phase A routes nominations into PairKey-hashed shuffle shards;
+      // phase B aggregates each shard.
       const uint64_t placed = std::max<uint64_t>(
           1, static_cast<uint64_t>(view.num_nodes()));
       const uint64_t cnp_k = std::max<uint64_t>(
@@ -265,14 +220,19 @@ std::vector<WeightedComparison> ShardedPrune(
       std::vector<std::pair<uint64_t, uint64_t>> shard_counts(
           kPruneVoteShards);
 
-      // The per-entity nomination scan, shared by the in-memory and the
-      // spilled phase A. `nominate(e, key, w)` routes one vote.
-      const auto scan_chunk = [&](size_t c, const auto& nominate) {
+      // Phase A: the per-entity nomination scan; each vote is routed to
+      // its PairKey-hashed shard.
+      const auto scan_chunk = [&](size_t c, size_t begin, size_t end,
+                                  const auto& route) {
+        const auto nominate = [&](EntityId e, uint64_t key, double w) {
+          route(static_cast<uint32_t>(Mix64(key) & (kPruneVoteShards - 1)),
+                Nomination{key, e, w});
+        };
         NeighborScratch& scratch = TlsNeighborScratch(n);
         ChunkPartial partial;
         std::vector<std::pair<EntityId, double>> local;
-        const auto [begin, end] = chunk_range(c);
-        for (EntityId e = begin; e < end; ++e) {
+        for (EntityId e = static_cast<EntityId>(begin);
+             e < static_cast<EntityId>(end); ++e) {
           local.clear();
           double local_sum = 0.0;
           view.ForNeighbors(scratch, e, /*only_greater=*/false,
@@ -315,88 +275,29 @@ std::vector<WeightedComparison> ShardedPrune(
         }
       };
 
-      if (memory.enabled()) {
-        // External-memory phase A/B: nominations stream through spilling
-        // vote-shard sinks as (pair, nominator)-keyed records; each shard's
-        // merged stream is exactly the sorted vote array the in-memory path
-        // aggregates, so the retained edges carry identical bytes.
-        extmem::RunSpilledShuffle(
-            pool, n, kPruneChunkEntities, kPruneVoteShards, memory,
-            [&](size_t c, size_t /*begin*/, size_t /*end*/,
-                const auto& route) {
-              std::string record;
-              scan_chunk(c, [&](EntityId e, uint64_t key, double w) {
-                record.clear();
-                extmem::AppendU32Le(record, 12);  // key: pair + nominator
-                extmem::AppendU64Be(record, key);
-                extmem::AppendU32Be(record, e);
-                extmem::AppendU64Le(record, std::bit_cast<uint64_t>(w));
-                route(static_cast<uint32_t>(Mix64(key) &
-                                            (kPruneVoteShards - 1)),
-                      record);
-              });
-            },
-            [&](uint32_t s, extmem::ShuffleSource& source) {
-              std::string_view record;
-              uint64_t votes = 0, pairs = 0;
-              uint64_t group_key = 0;
-              size_t group_votes = 0;
-              double last_weight = 0.0;
-              bool open = false;
-              while (source.Next(record)) {
-                ++votes;
-                const uint64_t key = extmem::ReadU64Be(
-                    extmem::RecordKey(record).substr(0, 8));
-                if (open && key != group_key) {
-                  flush_group(s, group_key, group_votes, last_weight, pairs);
-                  group_votes = 0;
-                }
-                group_key = key;
-                open = true;
-                ++group_votes;
-                last_weight = std::bit_cast<double>(
-                    extmem::ReadU64Le(extmem::RecordPayload(record)));
-              }
-              if (open) {
+      // Phase B: each shard reads its votes in (key, nominator) order.
+      extmem::RunShardShuffle<NominationCodec>(
+          pool, n, kPruneChunkEntities, kPruneVoteShards, memory, scan_chunk,
+          [&](uint32_t s, auto& cursor) {
+            uint64_t votes = 0, pairs = 0;
+            uint64_t group_key = 0;
+            size_t group_votes = 0;
+            double last_weight = 0.0;
+            for (Nomination nom{}; cursor.Next(nom);) {
+              ++votes;
+              if (group_votes > 0 && nom.key != group_key) {
                 flush_group(s, group_key, group_votes, last_weight, pairs);
+                group_votes = 0;
               }
-              shard_counts[s] = {votes, pairs};
-            });
-      } else {
-        // In-memory phase A: chunk-local shard buffers, no shared state.
-        std::vector<std::vector<std::vector<Nomination>>> chunk_noms(
-            num_chunks,
-            std::vector<std::vector<Nomination>>(kPruneVoteShards));
-        RunPoolTasks(pool, num_chunks, [&](size_t c) {
-          auto& shards = chunk_noms[c];
-          scan_chunk(c, [&shards](EntityId e, uint64_t key, double w) {
-            shards[Mix64(key) & (kPruneVoteShards - 1)].push_back(
-                Nomination{key, e, w});
+              group_key = nom.key;
+              ++group_votes;
+              last_weight = nom.weight;
+            }
+            if (group_votes > 0) {
+              flush_group(s, group_key, group_votes, last_weight, pairs);
+            }
+            shard_counts[s] = {votes, pairs};
           });
-        });
-
-        // In-memory phase B: per-shard vote aggregation over the gathered
-        // (key, nominator)-sorted array.
-        RunPoolTasks(pool, kPruneVoteShards, [&](size_t s) {
-          std::vector<Nomination> votes;
-          size_t total = 0;
-          for (const auto& chunk : chunk_noms) total += chunk[s].size();
-          votes.reserve(total);
-          for (const auto& chunk : chunk_noms) {
-            votes.insert(votes.end(), chunk[s].begin(), chunk[s].end());
-          }
-          std::sort(votes.begin(), votes.end());
-          uint64_t pairs = 0;
-          size_t i = 0;
-          while (i < votes.size()) {
-            size_t j = i;
-            while (j < votes.size() && votes[j].key == votes[i].key) ++j;
-            flush_group(s, votes[i].key, j - i, votes[j - 1].weight, pairs);
-            i = j;
-          }
-          shard_counts[s] = {votes.size(), pairs};
-        });
-      }
       for (const ChunkPartial& p : partials) {
         weight_sum += p.weight_sum;
         graph_edges += p.edges;
@@ -411,11 +312,11 @@ std::vector<WeightedComparison> ShardedPrune(
         shard_votes.Record(votes);
       }
       retained = FlattenInOrder(shard_kept);
+      SortByWeightDescending(retained);
       break;
     }
   }
 
-  SortByWeightDescending(retained);
   // Telemetry once per prune run — all sequential, outside the workers.
   {
     obs::MetricsRegistry& registry = obs::MetricsRegistry::Default();

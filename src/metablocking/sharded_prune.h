@@ -8,9 +8,11 @@
 // are routed into a fixed number of shards by PairKey hash; each shard sorts
 // its nominations by (pair, nominating entity) before aggregating, which
 // reproduces the sequential vote-table semantics (the larger endpoint's
-// weight wins when both nominate). The net guarantee: the retained edge list
-// is bit-identical for every thread count, including the inline (no pool)
-// path.
+// weight wins when both nominate). The WEP/CEP edge lists and the vote
+// shards are each one shard shuffle (extmem/shuffle.h) whose sink the memory
+// budget picks. The net guarantee: the retained edge list is bit-identical
+// for every thread count, including the inline (no pool) path, and for every
+// budget.
 
 #ifndef MINOAN_METABLOCKING_SHARDED_PRUNE_H_
 #define MINOAN_METABLOCKING_SHARDED_PRUNE_H_
@@ -33,9 +35,9 @@ inline constexpr uint32_t kPruneChunkEntities = 256;
 inline constexpr uint32_t kPruneVoteShards = 64;
 
 /// Prunes the blocking graph of `view` under `options`, running chunk and
-/// shard tasks on `pool` (nullptr = inline on the calling thread). An
-/// enabled `memory` budget routes the vote shards and the CEP/WEP edge
-/// lists through spilling sinks instead of RAM. Returns retained
+/// shard tasks on `pool` (nullptr = inline on the calling thread). `memory`
+/// picks the sink of the vote-shard and CEP/WEP edge-list shuffles: RAM, or
+/// spilling sinks when a budget is set. Returns retained
 /// comparisons in the canonical order of SortByWeightDescending; the result
 /// is bit-identical across pool sizes and budgets.
 std::vector<WeightedComparison> ShardedPrune(

@@ -358,29 +358,36 @@ TEST(StreamingPostingsTest, MatchesMaterializedPostings) {
   };
   const auto hash = [](uint32_t key) { return static_cast<uint64_t>(key); };
 
-  const std::vector<KeyedPosting<uint32_t>> reference =
-      BuildShardedPostings<uint32_t>(kEntities, nullptr, emit, hash);
+  std::vector<std::pair<uint32_t, std::vector<EntityId>>> reference;
+  ForEachShardedPosting<uint32_t>(
+      kEntities, nullptr, {}, emit, hash,
+      [&](uint32_t key, std::vector<EntityId>& entities) {
+        reference.emplace_back(key, entities);
+      });
   ASSERT_GT(reference.size(), 0u);
 
   TempBase base("stream-postings");
-  extmem::MemoryBudgetOptions memory;
-  memory.shuffle_budget_bytes = 16 << 10;
-  memory.spill_dir = base.str();
+  extmem::MemoryBudgetOptions budget;
+  budget.shuffle_budget_bytes = 16 << 10;
+  budget.spill_dir = base.str();
 
-  for (const uint32_t threads : {1u, 4u}) {
-    std::unique_ptr<ThreadPool> pool;
-    if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-    size_t i = 0;
-    StreamShardedPostings<uint32_t>(
-        kEntities, pool.get(), emit, hash, memory,
-        [&](uint32_t key, std::vector<EntityId>& entities) {
-          ASSERT_LT(i, reference.size());
-          EXPECT_EQ(key, reference[i].key) << "posting " << i;
-          EXPECT_EQ(entities, reference[i].entities)
-              << "posting " << i << " at " << threads << " threads";
-          ++i;
-        });
-    EXPECT_EQ(i, reference.size()) << threads << " threads";
+  for (const extmem::MemoryBudgetOptions& memory :
+       {extmem::MemoryBudgetOptions{}, budget}) {
+    for (const uint32_t threads : {1u, 4u}) {
+      std::unique_ptr<ThreadPool> pool;
+      if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
+      size_t i = 0;
+      ForEachShardedPosting<uint32_t>(
+          kEntities, pool.get(), memory, emit, hash,
+          [&](uint32_t key, std::vector<EntityId>& entities) {
+            ASSERT_LT(i, reference.size());
+            EXPECT_EQ(key, reference[i].first) << "posting " << i;
+            EXPECT_EQ(entities, reference[i].second)
+                << "posting " << i << " at " << threads << " threads";
+            ++i;
+          });
+      EXPECT_EQ(i, reference.size()) << threads << " threads";
+    }
   }
   EXPECT_EQ(base.NumEntries(), 0u) << "streaming postings leaked spill files";
 }

@@ -1,18 +1,23 @@
 // Determinism suite for the external-memory shuffle engine (src/extmem/):
-// spill-file and merge primitives, forced-spill byte parity against the
-// in-memory paths for blocking postings and meta-blocking vote shards at
-// 1/2/4/7 threads, whole-session match-sequence invariance, and temp-file
-// cleanup on success AND on exception. Budgets are chosen tiny enough that
-// every shard spills several sorted runs — the telemetry asserts it.
+// spill-file and merge primitives, forced-spill byte and telemetry parity
+// against the in-memory sink for blocking postings and meta-blocking vote
+// shards at 1/2/4/7 threads, whole-session match-sequence invariance, and
+// temp-file cleanup on success AND on exception. Budgets are chosen tiny
+// enough that every shard spills several sorted runs — the telemetry
+// asserts it.
 
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "blocking/blocking_method.h"
+#include "blocking/char_blocking.h"
 #include "blocking/sharded_blocking.h"
 #include "core/session.h"
 #include "datagen/lod_generator.h"
@@ -24,6 +29,7 @@
 #include "metablocking/blocking_graph.h"
 #include "metablocking/meta_blocking.h"
 #include "metablocking/sharded_prune.h"
+#include "obs/metrics.h"
 #include "util/thread_pool.h"
 
 namespace minoan {
@@ -64,6 +70,21 @@ std::string MakeRecord(uint32_t key, uint32_t payload) {
   extmem::AppendU32Le(record, payload);
   return record;
 }
+
+/// (key, payload) records ordered by key, for driving the shard shuffle.
+struct U32PairCodec {
+  using Record = std::pair<uint32_t, uint32_t>;
+  static bool Less(const Record& a, const Record& b) {
+    return a.first < b.first;
+  }
+  static void Encode(const Record& r, std::string& out) {
+    out = MakeRecord(r.first, r.second);
+  }
+  static void Decode(std::string_view bytes, Record& r) {
+    r.first = extmem::DecodeKey<uint32_t>(extmem::RecordKey(bytes));
+    r.second = extmem::ReadU32Le(extmem::RecordPayload(bytes));
+  }
+};
 
 // ---------------------------------------------------------------------------
 // Primitives
@@ -161,27 +182,24 @@ TEST(SpillShuffleTest, SpilledMergeEqualsInMemorySort) {
   EXPECT_EQ(count, kRecords);
 }
 
-TEST(SpillShuffleTest, RunSpilledShuffleCleansUpOnSuccessAndException) {
+TEST(SpillShuffleTest, ShardShuffleCleansUpOnSuccessAndException) {
   TempBase base("cleanup");
   extmem::MemoryBudgetOptions memory;
   memory.spill_run_bytes = 256;
   memory.spill_dir = base.str();
 
   const auto scan = [](size_t, size_t begin, size_t end, const auto& route) {
-    std::string record;
     for (size_t i = begin; i < end; ++i) {
-      record.clear();
-      extmem::EncodeKey(static_cast<uint32_t>(i % 31), record);
-      extmem::AppendU32Le(record, static_cast<uint32_t>(i));
-      route(static_cast<uint32_t>(i % 4), record);
+      route(static_cast<uint32_t>(i % 4),
+            U32PairCodec::Record{static_cast<uint32_t>(i % 31),
+                                 static_cast<uint32_t>(i)});
     }
   };
   uint64_t consumed = 0;
-  extmem::RunSpilledShuffle(
+  extmem::RunShardShuffle<U32PairCodec>(
       nullptr, /*total=*/5000, /*chunk_size=*/256, /*num_shards=*/4, memory,
-      scan, [&](uint32_t, extmem::ShuffleSource& source) {
-        std::string_view record;
-        while (source.Next(record)) ++consumed;
+      scan, [&](uint32_t, auto& cursor) {
+        for (U32PairCodec::Record record; cursor.Next(record);) ++consumed;
       });
   EXPECT_EQ(consumed, 5000u);
   EXPECT_EQ(base.NumEntries(), 0u) << "spill dir leaked after success";
@@ -189,9 +207,9 @@ TEST(SpillShuffleTest, RunSpilledShuffleCleansUpOnSuccessAndException) {
   // An exception from the consume stage must unwind through the engine
   // with every temp file removed.
   EXPECT_THROW(
-      extmem::RunSpilledShuffle(
+      extmem::RunShardShuffle<U32PairCodec>(
           nullptr, 5000, 256, 4, memory, scan,
-          [&](uint32_t, extmem::ShuffleSource&) {
+          [&](uint32_t, auto&) {
             throw std::runtime_error("consumer failure");
           }),
       std::runtime_error);
@@ -203,10 +221,10 @@ TEST(SpillShuffleTest, UnwritableSpillDirThrowsSpillError) {
   memory.spill_run_bytes = 256;
   memory.spill_dir = "/proc/definitely-not-writable";
   EXPECT_THROW(
-      extmem::RunSpilledShuffle(
+      extmem::RunShardShuffle<U32PairCodec>(
           nullptr, 10, 4, 2, memory,
           [](size_t, size_t, size_t, const auto&) {},
-          [](uint32_t, extmem::ShuffleSource&) {}),
+          [](uint32_t, auto&) {}),
       extmem::SpillError);
 }
 
@@ -234,6 +252,26 @@ TEST(SpillShuffleTest, UnwritableSpillDirThrowsSpillError) {
     }
   }
   return ::testing::AssertionSuccess();
+}
+
+/// Every default-registry counter and histogram whose name starts with
+/// `prefix`, flattened for equality checks (a histogram as count, sum, min,
+/// max, then its buckets).
+std::map<std::string, std::vector<uint64_t>> RegistryMetrics(
+    std::string_view prefix) {
+  const obs::StatsSnapshot snapshot =
+      obs::MetricsRegistry::Default().Snapshot();
+  std::map<std::string, std::vector<uint64_t>> out;
+  for (const auto& [name, value] : snapshot.counters) {
+    if (name.starts_with(prefix)) out[name] = {value};
+  }
+  for (const auto& [name, hist] : snapshot.histograms) {
+    if (!name.starts_with(prefix)) continue;
+    std::vector<uint64_t>& flat = out[name];
+    flat = {hist.count, hist.sum, hist.min, hist.max};
+    flat.insert(flat.end(), hist.buckets.begin(), hist.buckets.end());
+  }
+  return out;
 }
 
 class SpillParityTest : public ::testing::Test {
@@ -276,6 +314,8 @@ TEST_F(SpillParityTest, BlockingPostingsAreByteIdenticalUnderSpilling) {
   methods.push_back(std::make_unique<TokenBlocking>());
   methods.push_back(std::make_unique<PisBlocking>());
   methods.push_back(std::make_unique<AttributeClusteringBlocking>());
+  methods.push_back(std::make_unique<QGramBlocking>());
+  methods.push_back(std::make_unique<SortedNeighborhoodBlocking>());
   {
     std::vector<std::unique_ptr<BlockingMethod>> parts;
     parts.push_back(std::make_unique<TokenBlocking>());
@@ -283,12 +323,17 @@ TEST_F(SpillParityTest, BlockingPostingsAreByteIdenticalUnderSpilling) {
     methods.push_back(std::make_unique<CompositeBlocking>(std::move(parts)));
   }
   for (const auto& method : methods) {
+    obs::MetricsRegistry::Default().ResetAll();
     const BlockCollection in_memory = method->Build(*collection_);
     ASSERT_GT(in_memory.num_blocks(), 0u) << method->name();
+    const auto in_memory_metrics = RegistryMetrics("blocking.");
     method->set_memory_budget(TinyBudget(base));
+    obs::MetricsRegistry::Default().ResetAll();
     const BlockCollection spilled_seq = method->Build(*collection_);
     EXPECT_TRUE(SameBlocks(in_memory, spilled_seq))
         << method->name() << " spilled, sequential";
+    EXPECT_EQ(in_memory_metrics, RegistryMetrics("blocking."))
+        << method->name() << " blocking.* telemetry differs when spilled";
     for (uint32_t threads : {2u, 4u, 7u}) {
       ThreadPool pool(threads);
       const BlockCollection spilled = method->Build(*collection_, &pool);
@@ -336,16 +381,22 @@ TEST_F(SpillParityTest, VoteShardPruningIsByteIdenticalUnderSpilling) {
       const BlockingGraphView view(blocks, *collection_, opts.weighting,
                                    opts.mode);
       MetaBlockingStats in_memory_stats;
+      obs::MetricsRegistry::Default().ResetAll();
       const auto in_memory =
           ShardedPrune(view, opts, nullptr, &in_memory_stats);
       ASSERT_GT(in_memory.size(), 0u);
+      const auto in_memory_metrics = RegistryMetrics("prune.");
 
       const extmem::MemoryBudgetOptions budget = TinyBudget(base);
       extmem::ResetSpillTelemetry();
+      obs::MetricsRegistry::Default().ResetAll();
       MetaBlockingStats seq_stats;
       const auto spilled_seq =
           ShardedPrune(view, opts, nullptr, &seq_stats, budget);
       EXPECT_GT(extmem::GetSpillTelemetry().runs_spilled, 0u);
+      EXPECT_EQ(in_memory_metrics, RegistryMetrics("prune."))
+          << PruningSchemeName(pruning) << (reciprocal ? "+recip" : "")
+          << " prune.* telemetry differs when spilled";
       ASSERT_EQ(in_memory.size(), spilled_seq.size());
       EXPECT_EQ(std::memcmp(in_memory.data(), spilled_seq.data(),
                             in_memory.size() * sizeof(WeightedComparison)),

@@ -19,8 +19,9 @@
 //       --step-budget N the comparison budget is spent in increments of N
 //       through the pay-as-you-go Session API (identical results); with
 //       --stream every confirmed match is printed as it is discovered.
-//       --memory-budget caps the RAM the blocking-postings and vote-shard
-//       shuffles may hold (suffixes k/m/g accepted, e.g. 512m); overflow
+//       --memory-budget caps the RAM the blocking-postings, sorted-
+//       neighborhood key-sort, WEP/CEP edge-list and vote-shard shuffles
+//       may hold (suffixes k/m/g accepted, e.g. 512m); overflow
 //       spills sorted runs to temp files under --spill-dir (default: the
 //       system temp dir) with byte-identical results.
 //       Observability (out-of-band; results are identical with or without):
@@ -305,7 +306,8 @@ Result<WorkflowOptions> ParseWorkflowOptions(const std::string& verb,
         blocker + "\"");
   }
   // --memory-budget N[k|m|g]: cap on the in-RAM shuffle state (blocking
-  // postings + vote shards); overflow spills sorted runs under --spill-dir.
+  // postings, sorted-neighborhood key sort, WEP/CEP edge lists, vote
+  // shards); overflow spills sorted runs under --spill-dir.
   // Deterministic: the resolution result is byte-identical either way.
   options.memory.shuffle_budget_bytes = flags.GetByteSize("memory-budget", 0);
   options.memory.spill_dir = flags.Get("spill-dir", "");

@@ -40,6 +40,11 @@ spill.* counters to show actual spill activity (the smoke run forces it
 with a tiny --memory-budget); --expect-progress requires a non-empty
 progressive-quality curve with internally consistent samples.
 
+With --same-counters REF the run must also match a reference stats file
+on every blocking.* and prune.* counter and histogram: the out-of-core
+stress job passes the unbudgeted run's file, because the memory budget
+picks only the shuffle sink and must leave that telemetry unchanged.
+
 Exit 0 when everything holds; exit 1 listing every violation otherwise.
 """
 
@@ -64,6 +69,9 @@ EXPECTED_COUNTERS = (
 )
 
 SPILL_COUNTERS = ("spill.runs", "spill.bytes", "spill.sinks_spilled")
+
+# Metric prefixes --same-counters compares against the reference run.
+SAME_COUNTER_PREFIXES = ("blocking.", "prune.")
 
 # Counters a served smoke run must report (non-zero): requests were
 # answered, sessions were created, and eviction + transparent restore
@@ -186,6 +194,20 @@ def check_stats(stats, problems, expect_spill, expect_progress):
         problems.append("stats: peak_rss_bytes missing or zero")
 
 
+def check_same_counters(stats, reference, problems):
+    for section in ("counters", "histograms"):
+        got = stats.get(section, {})
+        want = reference.get(section, {})
+        names = {name for name in list(got) + list(want)
+                 if name.startswith(SAME_COUNTER_PREFIXES)}
+        for name in sorted(names):
+            if got.get(name) != want.get(name):
+                problems.append(
+                    f"stats: {section} {name!r} is {got.get(name)!r}, "
+                    f"the reference run has {want.get(name)!r}"
+                )
+
+
 def check_server_stats(stats, problems):
     if stats.get("schema") != "minoan-stats-v1":
         problems.append(
@@ -306,6 +328,10 @@ def main():
                         help="validate the stats file alone (runs that "
                              "did not pass --trace-out, e.g. the "
                              "out-of-core stress job)")
+    parser.add_argument("--same-counters", metavar="REF",
+                        help="require every blocking.* and prune.* counter "
+                             "and histogram to equal those of the stats "
+                             "file REF (e.g. the unbudgeted run)")
     parser.add_argument("--tenant", action="store_true",
                         help="validate the per-tenant breakdown and "
                              "histogram quantiles (server stats files; "
@@ -318,6 +344,8 @@ def main():
     problems = []
     stats = load(args.metrics, problems)
     trace = load(args.trace, problems) if args.trace else None
+    reference = (load(args.same_counters, problems)
+                 if args.same_counters else None)
     if stats is not None:
         if args.server:
             check_server_stats(stats, problems)
@@ -326,6 +354,8 @@ def main():
                         args.expect_progress)
         if args.tenant:
             check_tenants(stats, problems)
+        if reference is not None:
+            check_same_counters(stats, reference, problems)
     if trace is not None:
         check_trace(trace, problems)
 
