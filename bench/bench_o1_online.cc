@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
 
   // --- Resolve throughput --------------------------------------------------
   Stopwatch resolve_watch;
-  const online::OnlineStepResult full = resolver.ResolveBudget(1ull << 40);
+  const StepResult full = resolver.ResolveBudget(1ull << 40);
   const double resolve_ms = resolve_watch.ElapsedMillis();
   const double resolve_cps =
       resolve_ms > 0.0
@@ -123,7 +123,7 @@ int main(int argc, char** argv) {
   (void)absorber.ResolveBudget(1ull << 40);
   Stopwatch absorb_watch;
   (void)absorber.Ingest(absorber_kbs[0], held_out);
-  const online::OnlineStepResult absorb_step =
+  const StepResult absorb_step =
       absorber.ResolveBudget(1ull << 40);
   const double absorb_ms = absorb_watch.ElapsedMillis();
 

@@ -51,44 +51,7 @@ Status WorkflowOptions::Validate() const {
         "num_threads must be in [0, " + std::to_string(kMaxThreads) +
         "] (0 = hardware concurrency), got " + std::to_string(num_threads));
   }
-  const double threshold = progressive.matcher.threshold;
-  if (!std::isfinite(threshold) || threshold < 0.0 || threshold > 1.0) {
-    return Status::InvalidArgument(
-        "progressive.matcher.threshold must be in [0, 1], got " +
-        FormatValue(threshold));
-  }
-  if (!std::isfinite(progressive.benefit_weight) ||
-      progressive.benefit_weight < 0.0) {
-    return Status::InvalidArgument(
-        "progressive.benefit_weight must be >= 0, got " +
-        FormatValue(progressive.benefit_weight));
-  }
-  const EvidenceOptions& ev = progressive.evidence;
-  if (!std::isfinite(ev.increment) || ev.increment < 0.0) {
-    return Status::InvalidArgument("evidence.increment must be >= 0, got " +
-                                   FormatValue(ev.increment));
-  }
-  if (!std::isfinite(ev.weight) || ev.weight < 0.0) {
-    return Status::InvalidArgument("evidence.weight must be >= 0, got " +
-                                   FormatValue(ev.weight));
-  }
-  if (!std::isfinite(ev.priority) || ev.priority < 0.0) {
-    return Status::InvalidArgument("evidence.priority must be >= 0, got " +
-                                   FormatValue(ev.priority));
-  }
-  if (!std::isfinite(ev.staleness_tolerance) || ev.staleness_tolerance < 0.0 ||
-      ev.staleness_tolerance > 1.0) {
-    return Status::InvalidArgument(
-        "evidence.staleness_tolerance must be in [0, 1], got " +
-        FormatValue(ev.staleness_tolerance));
-  }
-  if (!std::isfinite(similarity.tfidf_weight) ||
-      similarity.tfidf_weight < 0.0 || similarity.tfidf_weight > 1.0) {
-    return Status::InvalidArgument(
-        "similarity.tfidf_weight must be in [0, 1], got " +
-        FormatValue(similarity.tfidf_weight));
-  }
-  return Status::Ok();
+  return ValidateLoopOptions(progressive, similarity);
 }
 
 std::unique_ptr<BlockingMethod> MakeWorkflowBlocker(

@@ -127,7 +127,7 @@ Status OnlineSession::RunCommand(const std::string& line, std::ostream& out) {
   if (cmd == "resolve") {
     if (words.size() < 2) return Status::InvalidArgument("resolve needs n");
     MINOAN_ASSIGN_OR_RETURN(const uint64_t budget, ParseCount(words[1]));
-    const online::OnlineStepResult step = resolver_.ResolveBudget(budget);
+    const StepResult step = resolver_.ResolveBudget(budget);
     std::snprintf(buf, sizeof(buf),
                   "resolve %-13llu compared %llu, +%zu matches (%zu total)%s",
                   static_cast<unsigned long long>(budget),

@@ -214,6 +214,15 @@ class EntityCollection {
   std::vector<uint32_t> tokenize_scratch_;
 };
 
+/// The .nt/.ttl/.turtle files directly under `dir`, sorted by path.
+Result<std::vector<std::string>> ListRdfFiles(const std::string& dir);
+
+/// Loads a directory of RDF files as one collection: every file from
+/// ListRdfFiles, in that order, becomes one KB named after its file stem,
+/// then the collection is finalized. The one directory loader: the CLI and
+/// the server's "dir:" corpora resolve over the identical collection.
+Result<EntityCollection> LoadRdfDirectory(const std::string& dir);
+
 }  // namespace minoan
 
 #endif  // MINOAN_KB_COLLECTION_H_

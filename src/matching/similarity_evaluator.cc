@@ -2,25 +2,28 @@
 
 namespace minoan {
 
+void BuildTfidfVector(const EntityCollection& collection, EntityId e,
+                      std::vector<WeightedToken>& out) {
+  out.clear();
+  const auto& bag = collection.entity(e).token_bag;  // sorted, with dups
+  size_t i = 0;
+  while (i < bag.size()) {
+    size_t j = i;
+    while (j < bag.size() && bag[j] == bag[i]) ++j;
+    const double tf = static_cast<double>(j - i);
+    const double idf = collection.TokenIdf(bag[i]);
+    if (idf > 0.0) out.push_back(WeightedToken{bag[i], tf * idf});
+    i = j;
+  }
+}
+
 SimilarityEvaluator::SimilarityEvaluator(const EntityCollection& collection,
                                          SimilarityOptions options)
     : collection_(&collection), options_(options) {
   if (!options_.use_tfidf) return;
   tfidf_.resize(collection.num_entities());
   for (const EntityDescription& desc : collection.entities()) {
-    auto& vec = tfidf_[desc.id];
-    const auto& bag = desc.token_bag;  // sorted, with duplicates
-    size_t i = 0;
-    while (i < bag.size()) {
-      size_t j = i;
-      while (j < bag.size() && bag[j] == bag[i]) ++j;
-      const double tf = static_cast<double>(j - i);
-      const double idf = collection.TokenIdf(bag[i]);
-      if (idf > 0.0) {
-        vec.push_back(WeightedToken{bag[i], tf * idf});
-      }
-      i = j;
-    }
+    BuildTfidfVector(collection, desc.id, tfidf_[desc.id]);
   }
 }
 
@@ -35,11 +38,8 @@ double SimilarityEvaluator::TfIdfCosine(EntityId a, EntityId b) const {
 }
 
 double SimilarityEvaluator::Similarity(EntityId a, EntityId b) const {
-  const double jaccard = TokenJaccard(a, b);
-  if (!options_.use_tfidf) return jaccard;
-  const double cosine = TfIdfCosine(a, b);
-  return options_.tfidf_weight * cosine +
-         (1.0 - options_.tfidf_weight) * jaccard;
+  return MixProfileSimilarity(options_, TokenJaccard(a, b),
+                              TfIdfCosine(a, b));
 }
 
 }  // namespace minoan

@@ -28,6 +28,22 @@ struct SimilarityOptions {
   bool use_tfidf = true;
 };
 
+/// Writes e's (token, tf·idf) vector, sorted by token id, under the
+/// collection's CURRENT document frequencies. The one TF-IDF builder: the
+/// evaluator precomputes every vector with it at construction; the online
+/// engine, whose vocabulary grows per ingest, builds them per comparison.
+void BuildTfidfVector(const EntityCollection& collection, EntityId e,
+                      std::vector<WeightedToken>& out);
+
+/// The profile similarity mix: jaccard alone without TF-IDF, else
+/// w · cosine + (1-w) · jaccard.
+inline double MixProfileSimilarity(const SimilarityOptions& options,
+                                   double jaccard, double cosine) {
+  if (!options.use_tfidf) return jaccard;
+  return options.tfidf_weight * cosine +
+         (1.0 - options.tfidf_weight) * jaccard;
+}
+
 /// Immutable similarity oracle over one collection. Construction precomputes
 /// per-entity TF-IDF vectors; Similarity() is then allocation-free and
 /// thread-safe.

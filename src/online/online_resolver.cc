@@ -2,40 +2,17 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <string_view>
-#include <thread>
 
 #include "obs/metrics.h"
 #include "text/similarity.h"
 #include "util/hash.h"
 #include "util/serde.h"
-#include "util/thread_pool.h"
 
 namespace minoan {
 namespace online {
 
 namespace {
-
-/// On-the-fly TF-IDF vector with the collection's CURRENT document
-/// frequencies. The batch SimilarityEvaluator precomputes these at
-/// construction; online, the vocabulary grows with every ingest, so vectors
-/// are built per comparison (delta candidate sets are small).
-void BuildTfidf(const EntityCollection& collection, EntityId e,
-                std::vector<WeightedToken>& out) {
-  out.clear();
-  const auto& bag = collection.entity(e).token_bag;  // sorted, with dups
-  size_t i = 0;
-  while (i < bag.size()) {
-    size_t j = i;
-    while (j < bag.size() && bag[j] == bag[i]) ++j;
-    const double idf = collection.TokenIdf(bag[i]);
-    if (idf > 0.0) {
-      out.push_back(WeightedToken{bag[i], static_cast<double>(j - i) * idf});
-    }
-    i = j;
-  }
-}
 
 /// Format tags of the serialized engine state; bump on layout changes.
 /// v1: dynamic state only — Restore needs the caller to rebuild the exact
@@ -82,33 +59,55 @@ uint64_t OnlineOptionsDigest(const OnlineOptions& o) {
 
 using serde::kMaxUpfrontReserve;
 
-}  // namespace
-
-OnlineResolver::OnlineResolver(OnlineOptions options)
-    : options_(options),
-      coll_(options.collection),
-      index_(options.blocking),
-      estimator_(options.benefit, options.evidence.max_neighbors_per_side),
-      state_(std::make_unique<ResolutionState>(coll_.collection(), nullptr)) {
-  // Relationship-aware benefit models read neighbors from the growable
-  // adjacency (there is no frozen NeighborGraph in online mode).
-  state_->SetDynamicNeighbors(&neighbors_);
+/// The loop knobs of an online engine (its update phase is always on).
+ProgressiveOptions LoopOptionsFor(const OnlineOptions& o) {
+  ProgressiveOptions loop;
+  loop.benefit = o.benefit;
+  loop.benefit_weight = o.benefit_weight;
+  loop.matcher.threshold = o.matcher.threshold;
+  loop.evidence = o.evidence;
+  loop.mode = o.blocking.mode;
+  return loop;
 }
 
-OnlineResolver::OnlineResolver(OnlineOptions options, EntityCollection&& warm)
-    : options_(options),
-      coll_(std::move(warm)),
-      index_(options.blocking),
-      estimator_(options.benefit, options.evidence.max_neighbors_per_side),
-      state_(std::make_unique<ResolutionState>(coll_.collection(), nullptr)) {
-  state_->SetDynamicNeighbors(&neighbors_);
-  const uint32_t n = coll_.num_entities();
-  // Index sequentially (the incremental index mutates per entity), defer
-  // the per-pair priority pricing, then score the whole batch at once —
-  // in parallel when options_.num_threads allows, identically either way.
-  defer_scoring_ = true;
-  for (EntityId id = 0; id < n; ++id) IndexEntity(id);
-  FlushDeferredScores();
+}  // namespace
+
+Status OnlineOptions::Validate() const {
+  return ValidateLoopOptions(LoopOptionsFor(*this), similarity);
+}
+
+ProgressiveLoop OnlineResolver::MakeLoop() {
+  ProgressiveLoop loop(
+      coll_.collection(), /*graph=*/nullptr, &neighbors_,
+      LoopOptionsFor(options_),
+      [this](EntityId a, EntityId b) { return ProfileSimilarity(a, b); });
+  // A pair's first sighting makes its two entities Query partners.
+  loop.set_new_pair_hook([this](uint64_t pair) {
+    const EntityId a = PairKeyFirst(pair);
+    const EntityId b = PairKeySecond(pair);
+    partners_[a].push_back(b);
+    partners_[b].push_back(a);
+  });
+  return loop;
+}
+
+OnlineResolver::OnlineResolver(OnlineOptions options)
+    : OnlineResolver(options, RestoreTag{}) {
+  loop_.Reset();
+}
+
+OnlineResolver::OnlineResolver(OnlineOptions options, EntityCollection&& warm,
+                               ThreadPool* pool)
+    : OnlineResolver(options, std::move(warm), RestoreTag{}) {
+  loop_.Reset();
+  // Index sequentially (the incremental index mutates per entity), then
+  // price the whole candidate batch in the loop's bulk pass — before any
+  // seed, while the state is pristine.
+  std::vector<uint64_t> to_score;
+  for (EntityId id = 0; id < coll_.num_entities(); ++id) {
+    IndexEntity(id, &to_score);
+  }
+  loop_.ScoreAndPush(to_score, pool);
   ConsumeSameAsSeeds();
 }
 
@@ -117,19 +116,13 @@ OnlineResolver::OnlineResolver(OnlineOptions options, EntityCollection&& warm,
     : options_(options),
       coll_(std::move(warm)),
       index_(options.blocking),
-      estimator_(options.benefit, options.evidence.max_neighbors_per_side) {
-  // Nothing indexed, scored, or clustered: LoadState supplies all of it
-  // (including state_ — building one here would be discarded work).
-}
+      loop_(MakeLoop()) {}
 
 OnlineResolver::OnlineResolver(OnlineOptions options, RestoreTag)
     : options_(options),
       coll_(options.collection),
       index_(options.blocking),
-      estimator_(options.benefit, options.evidence.max_neighbors_per_side) {
-  // Self-contained restore: LoadState reads the embedded collection (v2)
-  // and every dynamic structure from the stream.
-}
+      loop_(MakeLoop()) {}
 
 Result<std::unique_ptr<OnlineResolver>> OnlineResolver::Restore(
     OnlineOptions options, EntityCollection&& warm, std::istream& in) {
@@ -172,27 +165,13 @@ Result<EntityId> OnlineResolver::Ingest(
   return id;
 }
 
-OnlineResolver::PairState& OnlineResolver::PairRef(uint64_t pair,
-                                                   bool* created) {
-  bool inserted = false;
-  PairState& ps = pairs_.FindOrInsert(pair, &inserted);
-  if (inserted) {
-    const EntityId a = PairKeyFirst(pair);
-    const EntityId b = PairKeySecond(pair);
-    partners_[a].push_back(b);
-    partners_[b].push_back(a);
-  }
-  if (created != nullptr) *created = inserted;
-  return ps;
-}
-
-void OnlineResolver::IndexEntity(EntityId id) {
+void OnlineResolver::IndexEntity(EntityId id, std::vector<uint64_t>* to_score) {
   const EntityCollection& c = collection();
   if (neighbors_.size() < c.num_entities()) {
     neighbors_.resize(c.num_entities());
     partners_.resize(c.num_entities());
   }
-  state_->AddEntity(id);
+  loop_.state().AddEntity(id);
 
   // Relation edges of the new entity extend the undirected adjacency; the
   // targets necessarily exist already (forward references degraded to
@@ -210,39 +189,16 @@ void OnlineResolver::IndexEntity(EntityId id) {
   index_.AddEntity(c, id, delta_scratch_);
   for (const DeltaPair& d : delta_scratch_) {
     const uint64_t pair = PairKey(d.a, d.b);
-    PairState& ps = PairRef(pair);
-    ps.likelihood = d.weight;
+    loop_.SetLikelihood(pair, d.weight);
     // The update phase may have discovered and even executed this pair
     // before blocking produced it.
-    if (ps.executed) continue;
-    if (defer_scoring_) {
-      deferred_pairs_.push_back(pair);
-      continue;
+    if (loop_.executed().Contains(pair)) continue;
+    if (to_score != nullptr) {
+      to_score->push_back(pair);
+    } else {
+      loop_.Schedule(pair);
     }
-    scheduler_.Push(pair, Priority(d.a, d.b, ps));
   }
-}
-
-void OnlineResolver::FlushDeferredScores() {
-  defer_scoring_ = false;
-  std::vector<double> priorities(deferred_pairs_.size());
-  const auto score = [&](size_t i) {
-    const uint64_t pair = deferred_pairs_[i];
-    priorities[i] = Priority(PairKeyFirst(pair), PairKeySecond(pair),
-                             *pairs_.Find(pair));
-  };
-  const uint32_t threads = ResolveThreadCount(options_.num_threads);
-  if (threads > 1 && deferred_pairs_.size() >= 2048) {
-    ThreadPool pool(threads);
-    pool.ParallelFor(deferred_pairs_.size(), score);
-  } else {
-    for (size_t i = 0; i < deferred_pairs_.size(); ++i) score(i);
-  }
-  for (size_t i = 0; i < deferred_pairs_.size(); ++i) {
-    scheduler_.Push(deferred_pairs_[i], priorities[i]);
-  }
-  deferred_pairs_.clear();
-  deferred_pairs_.shrink_to_fit();
 }
 
 void OnlineResolver::ConsumeSameAsSeeds() {
@@ -252,34 +208,8 @@ void OnlineResolver::ConsumeSameAsSeeds() {
     return;
   }
   for (; same_as_consumed_ < links.size(); ++same_as_consumed_) {
-    const SameAsLink link = links[same_as_consumed_];
-    const uint64_t pair = PairKey(link.a, link.b);
-    PairState& ps = PairRef(pair);
-    if (ps.executed) continue;
-    ps.executed = true;
-    scheduler_.Erase(pair);
-    RecordClusterMerge(link.a, link.b);
-    UpdatePhase(link.a, link.b);
+    loop_.ApplySeed(links[same_as_consumed_].a, links[same_as_consumed_].b);
   }
-}
-
-void OnlineResolver::RecordClusterMerge(EntityId a, EntityId b) {
-  // Raw (a, b) argument order, not the normalized pair: RecordMatch's
-  // union-find layout depends on it, and the replay must be exact.
-  cluster_ops_.emplace_back(a, b);
-  state_->RecordMatch(a, b);
-}
-
-double OnlineResolver::Likelihood(const PairState& ps) const {
-  if (ps.evidence <= 0.0) return ps.likelihood;
-  return ps.likelihood +
-         options_.evidence.priority * std::min(1.0, ps.evidence);
-}
-
-double OnlineResolver::Priority(EntityId a, EntityId b,
-                                const PairState& ps) const {
-  const double benefit = estimator_.PairBenefit(a, b, *state_);
-  return Likelihood(ps) * (1.0 + options_.benefit_weight * benefit);
 }
 
 double OnlineResolver::ProfileSimilarityWithA(
@@ -288,92 +218,22 @@ double OnlineResolver::ProfileSimilarityWithA(
   const double jaccard =
       JaccardSimilarity(c.entity(a).tokens, c.entity(b).tokens);
   if (!options_.similarity.use_tfidf) return jaccard;
-  BuildTfidf(c, b, tfidf_b_);
-  const double cosine = WeightedCosineSimilarity(a_tfidf, tfidf_b_);
-  return options_.similarity.tfidf_weight * cosine +
-         (1.0 - options_.similarity.tfidf_weight) * jaccard;
+  BuildTfidfVector(c, b, tfidf_b_);
+  return MixProfileSimilarity(options_.similarity, jaccard,
+                              WeightedCosineSimilarity(a_tfidf, tfidf_b_));
 }
 
 double OnlineResolver::ProfileSimilarity(EntityId a, EntityId b) const {
-  if (options_.similarity.use_tfidf) BuildTfidf(collection(), a, tfidf_a_);
+  if (options_.similarity.use_tfidf) {
+    BuildTfidfVector(collection(), a, tfidf_a_);
+  }
   return ProfileSimilarityWithA(a, tfidf_a_, b);
 }
 
-double OnlineResolver::EvidenceBonus(const PairState& ps) const {
-  if (ps.evidence <= 0.0) return 0.0;
-  return options_.evidence.weight * std::min(1.0, ps.evidence);
-}
-
-bool OnlineResolver::ExecuteComparison(uint64_t pair) {
-  const EntityId a = PairKeyFirst(pair);
-  const EntityId b = PairKeySecond(pair);
-  double bonus = 0.0;
-  {
-    // Scope the reference: UpdatePhase below inserts into pairs_ and may
-    // rehash.
-    PairState& ps = PairRef(pair);
-    ps.executed = true;
-    bonus = EvidenceBonus(ps);
-  }
-  scheduler_.Erase(pair);
-  ++run_.comparisons_executed;
-  const double profile = ProfileSimilarity(a, b);
-  const double sim = profile + bonus;
-  if (sim < options_.matcher.threshold) return false;
-
-  RecordClusterMerge(a, b);
-  run_.matches.push_back(MatchEvent{run_.comparisons_executed, a, b, sim});
-  if (profile < options_.matcher.threshold) ++evidence_assisted_matches_;
-  UpdatePhase(a, b);
-  return true;
-}
-
-void OnlineResolver::UpdatePhase(EntityId a, EntityId b) {
-  const auto& na = neighbors_[a];
-  const auto& nb = neighbors_[b];
-  const size_t la =
-      std::min<size_t>(na.size(), options_.evidence.max_neighbors_per_side);
-  const size_t lb =
-      std::min<size_t>(nb.size(), options_.evidence.max_neighbors_per_side);
-  const bool clean = options_.blocking.mode == ResolutionMode::kCleanClean;
-  for (size_t i = 0; i < la; ++i) {
-    for (size_t j = 0; j < lb; ++j) {
-      const EntityId x = na[i];
-      const EntityId y = nb[j];
-      if (x == y) continue;
-      if (clean && !collection().CrossKb(x, y)) continue;
-      const uint64_t pair = PairKey(x, y);
-      if (state_->SameCluster(x, y)) continue;
-      bool first_sighting = false;
-      PairState& ps = PairRef(pair, &first_sighting);
-      if (ps.executed) continue;
-      ps.evidence += options_.evidence.increment;
-      if (first_sighting) ++discovered_pairs_;
-      scheduler_.Push(pair, Priority(x, y, ps));
-    }
-  }
-}
-
-OnlineStepResult OnlineResolver::ResolveBudget(uint64_t max_comparisons) {
-  OnlineStepResult out;
-  // A zero budget spends nothing (the shared core treats 0 as "uncapped").
-  if (max_comparisons == 0) return out;
-  const size_t match_mark = run_.matches.size();
-  out = RunScheduledComparisons(
-      scheduler_, max_comparisons, options_.evidence.staleness_tolerance,
-      /*should_stop=*/[] { return false; },
-      /*already_executed=*/
-      [&](uint64_t pair) {
-        const PairState* ps = pairs_.Find(pair);
-        return ps == nullptr || ps->executed;
-      },
-      /*current_priority=*/
-      [&](EntityId a, EntityId b, uint64_t pair) {
-        return Priority(a, b, *pairs_.Find(pair));
-      },
-      /*execute=*/
-      [&](uint64_t pair, EntityId, EntityId) { ExecuteComparison(pair); });
-  out.matches.assign(run_.matches.begin() + match_mark, run_.matches.end());
+StepResult OnlineResolver::ResolveBudget(uint64_t max_comparisons) {
+  // A zero budget spends nothing (the loop treats 0 as "uncapped").
+  if (max_comparisons == 0) return StepResult{};
+  StepResult out = loop_.Step(max_comparisons);
   static obs::Counter& comparisons =
       obs::MetricsRegistry::Default().counter("online.resolve_comparisons");
   static obs::Counter& matches =
@@ -395,18 +255,20 @@ std::vector<QueryCandidate> OnlineResolver::Query(EntityId id, uint32_t k) {
   // position covers the appended tail).
   for (size_t i = 0; i < partners_[id].size(); ++i) {
     const uint64_t pair = PairKey(id, partners_[id][i]);
-    // Every partner pair is registered in pairs_ by PairRef.
-    if (!pairs_.Find(pair)->executed) ExecuteComparison(pair);
+    if (!loop_.executed().Contains(pair)) loop_.ExecuteOutOfOrder(pair);
   }
 
   // Rank with the query side's TF-IDF vector built once, not per partner.
-  if (options_.similarity.use_tfidf) BuildTfidf(collection(), id, tfidf_a_);
+  if (options_.similarity.use_tfidf) {
+    BuildTfidfVector(collection(), id, tfidf_a_);
+  }
   out.reserve(partners_[id].size());
   for (const EntityId p : partners_[id]) {
-    const PairState& ps = *pairs_.Find(PairKey(id, p));
     out.push_back(QueryCandidate{
-        p, ProfileSimilarityWithA(id, tfidf_a_, p) + EvidenceBonus(ps),
-        state_->SameCluster(id, p)});
+        p,
+        ProfileSimilarityWithA(id, tfidf_a_, p) +
+            loop_.EvidenceBonus(PairKey(id, p)),
+        loop_.state().SameCluster(id, p)});
   }
   std::sort(out.begin(), out.end(),
             [](const QueryCandidate& l, const QueryCandidate& r) {
@@ -451,45 +313,43 @@ Status OnlineResolver::SaveState(std::ostream& out) const {
   save_adjacency(neighbors_);
   save_adjacency(partners_);
 
-  std::vector<std::pair<uint64_t, PairState>> pairs;
-  pairs.reserve(pairs_.size());
-  pairs_.ForEach([&pairs](uint64_t pair, const PairState& ps) {
-    pairs.emplace_back(pair, ps);
-  });
-  std::sort(pairs.begin(), pairs.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  // One row per pair the loop knows: the sorted union of its three
+  // tables' keys, absent entries reading as 0 / not executed.
+  const FlatPairMap<double>& likelihoods = loop_.likelihoods();
+  const FlatPairMap<double>& evidence = loop_.evidence();
+  const FlatPairSet& executed = loop_.executed();
+  std::vector<uint64_t> pairs;
+  pairs.reserve(likelihoods.size() + evidence.size() + executed.size());
+  const auto add = [&pairs](uint64_t pair, const auto&...) {
+    pairs.push_back(pair);
+  };
+  likelihoods.ForEach(add);
+  evidence.ForEach(add);
+  executed.ForEach(add);
+  std::sort(pairs.begin(), pairs.end());
+  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
   serde::WriteU64(out, pairs.size());
-  for (const auto& [pair, ps] : pairs) {
+  for (const uint64_t pair : pairs) {
+    const double* likelihood = likelihoods.Find(pair);
+    const double* ev = evidence.Find(pair);
     serde::WriteU64(out, pair);
-    serde::WriteDouble(out, ps.likelihood);
-    serde::WriteDouble(out, ps.evidence);
-    serde::WriteU8(out, ps.executed ? 1 : 0);
+    serde::WriteDouble(out, likelihood == nullptr ? 0.0 : *likelihood);
+    serde::WriteDouble(out, ev == nullptr ? 0.0 : *ev);
+    serde::WriteU8(out, executed.Contains(pair) ? 1 : 0);
   }
 
-  const auto live = scheduler_.LiveEntries();
-  serde::WriteU64(out, live.size());
-  for (const auto& [pair, priority] : live) {
-    serde::WriteU64(out, pair);
-    serde::WriteDouble(out, priority);
-  }
-  serde::WriteU64(out, scheduler_.total_pushes());
+  loop_.WriteSchedule(out);
 
-  serde::WriteU64(out, cluster_ops_.size());
-  for (const auto& [a, b] : cluster_ops_) {
+  serde::WriteU64(out, loop_.merges().size());
+  for (const auto& [a, b] : loop_.merges()) {
     serde::WriteU32(out, a);
     serde::WriteU32(out, b);
   }
 
-  serde::WriteU64(out, run_.comparisons_executed);
-  serde::WriteU64(out, run_.matches.size());
-  for (const MatchEvent& m : run_.matches) {
-    serde::WriteU64(out, m.comparisons_done);
-    serde::WriteU32(out, m.a);
-    serde::WriteU32(out, m.b);
-    serde::WriteDouble(out, m.similarity);
-  }
-  serde::WriteU64(out, discovered_pairs_);
-  serde::WriteU64(out, evidence_assisted_matches_);
+  loop_.WriteRun(out);
+  const ProgressiveResult& result = loop_.result();
+  serde::WriteU64(out, result.discovered_pairs);
+  serde::WriteU64(out, result.evidence_assisted_matches);
   serde::WriteU64(out, same_as_consumed_);
   if (!out) return Status::IoError("online checkpoint write failed");
   return Status::Ok();
@@ -557,71 +417,45 @@ Status OnlineResolver::LoadState(std::istream& in) {
   if (!load_adjacency(neighbors_)) return truncated();
   if (!load_adjacency(partners_)) return truncated();
 
+  // Every row lands in at least one table, so the restored loop knows the
+  // same pairs (a row can be all zeros when evidence.increment is 0).
+  ProgressiveLoop::Snapshot snap;
   uint64_t n_pairs;
   if (!serde::ReadU64(in, n_pairs)) return truncated();
-  pairs_.Clear();
-  pairs_.Reserve(std::min(n_pairs, kMaxUpfrontReserve));
   for (uint64_t i = 0; i < n_pairs; ++i) {
     uint64_t pair;
-    PairState ps;
+    double likelihood, evidence;
     uint8_t executed;
-    if (!serde::ReadU64(in, pair) || !serde::ReadDouble(in, ps.likelihood) ||
-        !serde::ReadDouble(in, ps.evidence) || !serde::ReadU8(in, executed) ||
+    if (!serde::ReadU64(in, pair) || !serde::ReadDouble(in, likelihood) ||
+        !serde::ReadDouble(in, evidence) || !serde::ReadU8(in, executed) ||
         !serde::ValidPairKey(pair, n)) {
       return truncated();
     }
-    ps.executed = executed != 0;
-    pairs_.InsertOrAssign(pair, ps);
+    if (evidence != 0.0) snap.evidence.InsertOrAssign(pair, evidence);
+    if (executed != 0) snap.executed.Insert(pair);
+    if (likelihood != 0.0 || (evidence == 0.0 && executed == 0)) {
+      snap.likelihood.InsertOrAssign(pair, likelihood);
+    }
   }
 
-  uint64_t n_live;
-  if (!serde::ReadU64(in, n_live)) return truncated();
-  std::vector<std::pair<uint64_t, double>> live;
-  live.reserve(std::min(n_live, kMaxUpfrontReserve));
-  for (uint64_t i = 0; i < n_live; ++i) {
-    uint64_t pair;
-    double priority;
-    if (!serde::ReadU64(in, pair) || !serde::ReadDouble(in, priority) ||
-        !serde::ValidPairKey(pair, n)) {
-      return truncated();
-    }
-    live.emplace_back(pair, priority);
-  }
-  uint64_t total_pushes;
-  if (!serde::ReadU64(in, total_pushes)) return truncated();
+  if (!ProgressiveLoop::ReadSchedule(in, n, snap)) return truncated();
 
   uint64_t n_ops;
   if (!serde::ReadU64(in, n_ops)) return truncated();
-  cluster_ops_.clear();
-  cluster_ops_.reserve(std::min(n_ops, kMaxUpfrontReserve));
+  snap.merges.reserve(std::min(n_ops, kMaxUpfrontReserve));
   for (uint64_t i = 0; i < n_ops; ++i) {
     uint32_t a, b;
     if (!serde::ReadU32(in, a) || !serde::ReadU32(in, b) || a >= n ||
         b >= n) {
       return truncated();
     }
-    cluster_ops_.emplace_back(a, b);
+    snap.merges.emplace_back(a, b);
   }
 
-  ResolutionRun run;
-  uint64_t n_matches;
-  if (!serde::ReadU64(in, run.comparisons_executed) ||
-      !serde::ReadU64(in, n_matches)) {
-    return truncated();
-  }
-  run.matches.reserve(std::min(n_matches, kMaxUpfrontReserve));
-  for (uint64_t i = 0; i < n_matches; ++i) {
-    MatchEvent m;
-    if (!serde::ReadU64(in, m.comparisons_done) || !serde::ReadU32(in, m.a) ||
-        !serde::ReadU32(in, m.b) || !serde::ReadDouble(in, m.similarity) ||
-        m.a >= n || m.b >= n) {
-      return truncated();
-    }
-    run.matches.push_back(m);
-  }
+  if (!ProgressiveLoop::ReadRun(in, n, snap)) return truncated();
   uint64_t same_as_consumed;
-  if (!serde::ReadU64(in, discovered_pairs_) ||
-      !serde::ReadU64(in, evidence_assisted_matches_) ||
+  if (!serde::ReadU64(in, snap.result.discovered_pairs) ||
+      !serde::ReadU64(in, snap.result.evidence_assisted_matches) ||
       !serde::ReadU64(in, same_as_consumed)) {
     return truncated();
   }
@@ -629,18 +463,9 @@ Status OnlineResolver::LoadState(std::istream& in) {
     return Status::ParseError("online state sameAs cursor out of range");
   }
   same_as_consumed_ = static_cast<size_t>(same_as_consumed);
-
-  // Rebuild the mutable cluster state by replaying the merge log:
-  // RecordMatch is deterministic in call order, so the union-find layout
-  // and cluster profiles come out identical to the saving engine's.
-  state_ = std::make_unique<ResolutionState>(c, nullptr);
-  state_->SetDynamicNeighbors(&neighbors_);
-  for (const auto& [a, b] : cluster_ops_) state_->RecordMatch(a, b);
-
-  scheduler_.RestoreFrom(live, total_pushes);
-  run_ = std::move(run);
-  defer_scoring_ = false;
-  deferred_pairs_.clear();
+  // The format persists only the run, discovered_pairs and
+  // evidence_assisted_matches of the loop's counters.
+  loop_.Restore(std::move(snap));
   return Status::Ok();
 }
 

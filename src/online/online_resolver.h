@@ -20,8 +20,8 @@
 //                           then all known candidates are ranked by current
 //                           similarity. Idempotent between mutations.
 //
-// Priorities, neighbor-evidence propagation, and the staleness rule follow
-// ProgressiveResolver; likelihoods come from the incremental block index's
+// The engine drives the batch resolver's progressive loop
+// (progressive/loop.h); likelihoods come from the incremental block index's
 // key-set Jaccard instead of a global meta-blocking pass, since a global
 // pruning graph is unavailable under insertions.
 
@@ -42,10 +42,8 @@
 #include "online/incremental_collection.h"
 #include "progressive/benefit.h"
 #include "progressive/evidence_options.h"
-#include "progressive/scheduler.h"
+#include "progressive/loop.h"
 #include "progressive/state.h"
-#include "progressive/step_core.h"
-#include "util/flat_table.h"
 #include "util/status.h"
 
 namespace minoan {
@@ -66,17 +64,14 @@ struct OnlineOptions {
   EvidenceOptions evidence;
   /// Treat ingested owl:sameAs links as trusted zero-cost matches.
   bool use_same_as_seeds = false;
-  /// Worker threads for the warm-start bulk scoring pass (the one
-  /// batch-shaped stage of the online engine: pricing every initial
-  /// candidate pair against the pristine state). The ingest/resolve/query
-  /// loop itself is inherently sequential. 1 = inline (default),
-  /// 0 = hardware concurrency. Results are identical for every value.
+  /// Size of the pool a warm-starting server lends the warm constructor
+  /// (0 = hardware concurrency); results are identical for every value.
   uint32_t num_threads = 1;
-};
 
-/// Outcome of one ResolveBudget call — the same pay-as-you-go currency the
-/// batch ResolutionSession returns from Step.
-using OnlineStepResult = ::minoan::StepResult;
+  /// Checks the loop knobs (threshold, benefit weight, evidence, TF-IDF
+  /// weight) with the same rules as WorkflowOptions::Validate.
+  Status Validate() const;
+};
 
 /// One ranked candidate returned by Query.
 struct QueryCandidate {
@@ -93,8 +88,11 @@ class OnlineResolver {
 
   /// Warm start from a finalized batch collection: every existing entity is
   /// indexed (producing the full batch candidate set) before the engine
-  /// accepts new ones.
-  OnlineResolver(OnlineOptions options, EntityCollection&& warm);
+  /// accepts new ones. `pool` (optional, caller-owned, only used during
+  /// construction) fans out the loop's bulk scoring of those candidates;
+  /// the schedule is identical with or without it.
+  OnlineResolver(OnlineOptions options, EntityCollection&& warm,
+                 ThreadPool* pool = nullptr);
 
   /// Reopens an engine from a SaveState stream. `options` must be the
   /// options the saving engine ran with (digest verified). For current (v2)
@@ -102,7 +100,7 @@ class OnlineResolver {
   /// for legacy v1 states it must be the exact snapshot the saving engine
   /// held (entity/KB/triple counts are verified). Unlike the warm
   /// constructor nothing is re-indexed or re-scored: the incremental index,
-  /// the PairState map, the schedule, and the cluster state all come from
+  /// the pair tables, the schedule, and the cluster state all come from
   /// the stream, so resolution (and further ingests) continue exactly where
   /// the saved engine stopped — byte-identically.
   static Result<std::unique_ptr<OnlineResolver>> Restore(
@@ -115,8 +113,8 @@ class OnlineResolver {
   static Result<std::unique_ptr<OnlineResolver>> Restore(
       OnlineOptions options, std::istream& in);
 
-  /// Pinned: state_ holds the addresses of coll_'s collection and
-  /// neighbors_, so a compiler-generated move would leave it dangling.
+  /// Pinned: loop_ holds the addresses of coll_'s collection, neighbors_
+  /// and this engine, so a compiler-generated move would leave it dangling.
   OnlineResolver(const OnlineResolver&) = delete;
   OnlineResolver& operator=(const OnlineResolver&) = delete;
   OnlineResolver(OnlineResolver&&) = delete;
@@ -130,7 +128,7 @@ class OnlineResolver {
                           const std::vector<rdf::Triple>& triples);
 
   /// Executes up to `max_comparisons` scheduled comparisons.
-  OnlineStepResult ResolveBudget(uint64_t max_comparisons);
+  StepResult ResolveBudget(uint64_t max_comparisons);
 
   /// Executes every pending comparison involving `id` (and any its matches
   /// discover for it), then returns the top-k candidates by similarity
@@ -139,7 +137,7 @@ class OnlineResolver {
 
   /// Serializes the full engine state — the collection snapshot itself
   /// (MNER-ONLN-v2; restores are self-contained), the incremental index
-  /// (postings + watermarks + emitted pairs), PairState map, schedule,
+  /// (postings + watermarks + emitted pairs), pair rows, schedule,
   /// neighbor/partner adjacencies, the cluster-merge log, and the run
   /// record — in the fixed little-endian util/serde.h format, for a later
   /// Restore.
@@ -156,54 +154,41 @@ class OnlineResolver {
 
   const EntityCollection& collection() const { return coll_.collection(); }
   /// Cumulative run record (comparisons from ResolveBudget AND Query).
-  const ResolutionRun& run() const { return run_; }
-  size_t pending_comparisons() const { return scheduler_.live_size(); }
-  uint64_t discovered_pairs() const { return discovered_pairs_; }
+  const ResolutionRun& run() const { return loop_.result().run; }
+  size_t pending_comparisons() const {
+    return loop_.scheduler().live_size();
+  }
+  uint64_t discovered_pairs() const {
+    return loop_.result().discovered_pairs;
+  }
   uint64_t evidence_assisted_matches() const {
-    return evidence_assisted_matches_;
+    return loop_.result().evidence_assisted_matches;
   }
   uint64_t candidate_pairs_created() const {
     return index_.num_pairs_emitted();
   }
-  ResolutionState& state() { return *state_; }
+  ResolutionState& state() { return loop_.state(); }
   const OnlineOptions& options() const { return options_; }
 
  private:
-  /// All per-pair state in one node: blocking likelihood, accumulated
-  /// neighbor evidence, and whether the comparison was executed. One map
-  /// instead of four parallel ones keeps the scheduling hot path to a
-  /// single hash lookup per pair.
-  struct PairState {
-    double likelihood = 0.0;
-    double evidence = 0.0;
-    bool executed = false;
-  };
-
-  /// Restore path: adopts `warm` without indexing or scoring anything —
-  /// LoadState fills every structure from the stream instead.
+  /// Restore paths (and the base of the public constructors): adopt `warm`,
+  /// or start from an empty store, without indexing, scoring or building a
+  /// run — LoadState fills every structure from the stream instead (the
+  /// embedded v2 collection included).
   struct RestoreTag {};
   OnlineResolver(OnlineOptions options, EntityCollection&& warm, RestoreTag);
-  /// Self-contained restore path: starts from an empty store; LoadState
-  /// reads the embedded (v2) collection along with the dynamic state.
   OnlineResolver(OnlineOptions options, RestoreTag);
 
-  void IndexEntity(EntityId id);
-  /// Scores and pushes the pairs IndexEntity deferred during warm-start
-  /// bulk indexing. Safe to fan out: the state is pristine (no match
-  /// recorded before the seeds consume below), so priorities are pure reads;
-  /// scores land in a per-index array and are pushed in deferral order, and
-  /// pop order depends only on (priority, pair) — the schedule is identical
-  /// to interleaved sequential pushes for every thread count.
-  void FlushDeferredScores();
+  /// The loop over this engine's collection, adjacency and similarity
+  /// kernel, with partner registration as its new-pair hook.
+  ProgressiveLoop MakeLoop();
+  /// Indexes one entity and registers its delta candidates with the loop;
+  /// the pairs to schedule go to `to_score` when given (warm-start bulk
+  /// scoring), else are pushed one by one.
+  void IndexEntity(EntityId id, std::vector<uint64_t>* to_score = nullptr);
   /// Applies any not-yet-consumed ingested owl:sameAs links as zero-cost
   /// trusted matches (no-op unless use_same_as_seeds).
   void ConsumeSameAsSeeds();
-  /// Finds or creates the pair's state; on creation registers the two
-  /// entities as each other's partners. `created` (optional) reports
-  /// whether this was the pair's first sighting.
-  PairState& PairRef(uint64_t pair, bool* created = nullptr);
-  double Likelihood(const PairState& ps) const;
-  double Priority(EntityId a, EntityId b, const PairState& ps) const;
   /// Profile similarity with the current (possibly grown) vocabulary.
   double ProfileSimilarity(EntityId a, EntityId b) const;
   /// Same, with a's TF-IDF vector already built (hoisted out of ranking
@@ -211,22 +196,10 @@ class OnlineResolver {
   double ProfileSimilarityWithA(EntityId a,
                                 const std::vector<WeightedToken>& a_tfidf,
                                 EntityId b) const;
-  double EvidenceBonus(const PairState& ps) const;
-  /// Executes one not-yet-executed comparison; records a match and runs the
-  /// update phase when the threshold clears. Returns true when it matched.
-  bool ExecuteComparison(uint64_t pair);
-  void UpdatePhase(EntityId a, EntityId b);
-  /// Merges (a, b) in the cluster state AND appends the operation to the
-  /// replay log — RecordMatch's internal layout depends on call order, so
-  /// LoadState replays the exact sequence to reproduce it byte for byte.
-  void RecordClusterMerge(EntityId a, EntityId b);
 
   OnlineOptions options_;
   IncrementalCollection coll_;
   IncrementalBlockIndex index_;
-  BenefitEstimator estimator_;
-  std::unique_ptr<ResolutionState> state_;
-  ComparisonScheduler scheduler_;
 
   /// Incremental undirected adjacency over relation edges (the online
   /// counterpart of NeighborGraph, growable per ingest).
@@ -235,26 +208,8 @@ class OnlineResolver {
   /// first-seen order (drives Query).
   std::vector<std::vector<EntityId>> partners_;
 
-  /// Flat open-addressing table (util/flat_table.h): every scheduled pop,
-  /// query, and evidence update probes this map, and SaveState sorts its
-  /// contents into ascending-pair order before writing, so the layout is
-  /// pure hot-path win with no bytes-on-disk effect.
-  FlatPairMap<PairState> pairs_;
-
-  ResolutionRun run_;
-  uint64_t discovered_pairs_ = 0;
-  uint64_t evidence_assisted_matches_ = 0;
+  ProgressiveLoop loop_;
   size_t same_as_consumed_ = 0;
-
-  /// Every cluster merge (seeds and matches alike) in call order — the
-  /// checkpointable essence of the union-find state.
-  std::vector<std::pair<EntityId, EntityId>> cluster_ops_;
-
-  /// Warm-start bulk indexing: when set, IndexEntity records new pairs here
-  /// instead of scoring them one by one; FlushDeferredScores prices the
-  /// whole batch (in parallel when options_.num_threads allows).
-  bool defer_scoring_ = false;
-  std::vector<uint64_t> deferred_pairs_;
 
   // Scratch buffers (ingest + similarity), reused across calls.
   std::vector<DeltaPair> delta_scratch_;

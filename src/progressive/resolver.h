@@ -20,84 +20,40 @@
 //                consumed" — the budget is a comparison count (similarity
 //                evaluations), the standard cost unit of progressive ER.
 //
-// The resolver is a stateful begin/step core: Begin() ingests the candidate
-// schedule, Step(n) spends up to n more comparisons, and the loop state
-// (scheduler, evidence, partial clusters) persists between calls, so
-// Step(n/2) twice is byte-identical to Step(n). The legacy run-to-completion
-// Resolve()/ResolveWithSeeds() are thin wrappers, and SaveState/LoadState
-// round-trip the loop state for checkpointable sessions
-// (core/session.h).
+// The resolver is the batch driver of the one progressive loop
+// (progressive/loop.h): Begin() normalizes the meta-blocking weights into
+// likelihoods and primes the loop's schedule, Step(n) spends up to n more
+// comparisons under the matcher.budget / budget_millis stop rule, and the
+// loop state persists between calls, so Step(n/2) twice is byte-identical
+// to Step(n). The legacy run-to-completion Resolve()/ResolveWithSeeds() are
+// thin wrappers, and SaveState/LoadState round-trip the loop state in the
+// MNER-PROG-v1 format for checkpointable sessions (core/session.h).
 
 #ifndef MINOAN_PROGRESSIVE_RESOLVER_H_
 #define MINOAN_PROGRESSIVE_RESOLVER_H_
 
 #include <cstdint>
-#include <functional>
 #include <istream>
-#include <memory>
 #include <ostream>
 #include <vector>
 
 #include "kb/collection.h"
 #include "kb/neighbor_graph.h"
 #include "matching/matcher.h"
-#include "obs/progress.h"
 #include "matching/similarity_evaluator.h"
 #include "metablocking/meta_blocking_types.h"
-#include "progressive/benefit.h"
-#include "progressive/evidence_options.h"
-#include "progressive/scheduler.h"
-#include "progressive/state.h"
-#include "progressive/step_core.h"
-#include "util/flat_table.h"
+#include "obs/progress.h"
+#include "progressive/loop.h"
 #include "util/status.h"
 
 namespace minoan {
-
-/// Progressive-resolution configuration.
-struct ProgressiveOptions {
-  BenefitModel benefit = BenefitModel::kQuantity;
-  /// Strength of the benefit multiplier in the priority (0 = pure
-  /// likelihood ordering).
-  double benefit_weight = 1.0;
-  /// Match decision threshold and comparison budget (0 = unlimited).
-  MatcherOptions matcher;
-  /// Optional wall-clock budget in milliseconds (0 = unlimited); whichever
-  /// of the two budgets is hit first ends the run. Comparison counts are
-  /// the reproducible unit; wall time is for latency-bound deployments.
-  /// In step mode, bounds each Step call.
-  uint64_t budget_millis = 0;
-  /// Master switch of the update phase (T6 ablation).
-  bool enable_update_phase = true;
-  /// Evidence-propagation knobs, shared with the online engine.
-  EvidenceOptions evidence;
-  ResolutionMode mode = ResolutionMode::kCleanClean;
-};
-
-/// Outcome of a progressive run.
-struct ProgressiveResult {
-  ResolutionRun run;
-  /// Cumulative realized benefit after each match (parallel to run.matches).
-  std::vector<double> benefit_trace;
-  /// Pairs scheduled purely by the update phase (absent from blocking).
-  uint64_t discovered_pairs = 0;
-  /// ... of which were confirmed as matches.
-  uint64_t discovered_matches = 0;
-  /// Matches that needed neighbor evidence to clear the threshold (profile
-  /// similarity alone was below it).
-  uint64_t evidence_assisted_matches = 0;
-  /// Scheduling overhead: total heap pushes.
-  uint64_t scheduler_pushes = 0;
-};
-
-class ThreadPool;
 
 /// Drives the scheduling / matching / update loop over one collection.
 class ProgressiveResolver {
  public:
   /// Streaming sink for confirmed matches (invoked in discovery order,
   /// synchronously from within Step).
-  using MatchCallback = std::function<void(const MatchEvent&)>;
+  using MatchCallback = ProgressiveLoop::MatchCallback;
 
   /// `pool` (optional, caller-owned, must outlive the resolver) serves the
   /// batch-parallel setup phase (scoring the initial candidates against the
@@ -131,24 +87,26 @@ class ProgressiveResolver {
   /// spent. Distinct from exhausted(): the queue may still hold work.
   bool budget_spent() const {
     return options_.matcher.budget != 0 &&
-           result_.run.comparisons_executed >= options_.matcher.budget;
+           loop_.result().run.comparisons_executed >= options_.matcher.budget;
   }
   /// Nothing left to spend: queue drained OR overall budget consumed.
   /// The correct condition for "keep stepping" loops.
   bool finished() const { return exhausted_ || budget_spent(); }
   /// Cumulative outcome of every Step so far.
-  const ProgressiveResult& result() const { return result_; }
+  const ProgressiveResult& result() const { return loop_.result(); }
 
   /// Installs (or clears) the streaming match sink.
   void set_match_callback(MatchCallback callback) {
-    on_match_ = std::move(callback);
+    loop_.set_match_callback(std::move(callback));
   }
 
   /// Installs (or clears) the progressive-quality sampler (caller-owned,
   /// must outlive the resolver). Observational only: the meter sees the
   /// cumulative (comparisons, matches) totals after every executed
   /// comparison and never influences scheduling.
-  void set_progress_meter(obs::ProgressMeter* meter) { progress_ = meter; }
+  void set_progress_meter(obs::ProgressMeter* meter) {
+    loop_.set_progress_meter(meter);
+  }
 
   // --- Checkpoint / restore ------------------------------------------------
 
@@ -179,38 +137,14 @@ class ProgressiveResolver {
       const std::vector<Comparison>& seeds);
 
  private:
-  double Likelihood(uint64_t pair) const;
-  double Priority(EntityId a, EntityId b, uint64_t pair,
-                  ResolutionState& state) const;
-  void ExecuteComparison(uint64_t pair, EntityId a, EntityId b);
-  void UpdatePhase(EntityId a, EntityId b);
-  /// Feeds the installed progress meter the post-comparison totals.
-  void SampleProgress();
-
   const EntityCollection* collection_;
-  const NeighborGraph* graph_;
-  const SimilarityEvaluator* evaluator_;
   ProgressiveOptions options_;
-  BenefitEstimator estimator_;
   ThreadPool* pool_;  // optional, not owned
-  MatchCallback on_match_;
-  obs::ProgressMeter* progress_ = nullptr;  // optional, not owned
-
-  // Loop state (reset by Begin, serialized by SaveState). Flat
-  // open-addressing tables: every scheduled comparison probes likelihood,
-  // evidence, and the executed set, so these are the hottest lookups of the
-  // whole loop. Serialization canonicalizes to ascending-pair order, so the
-  // container swap never shows in checkpoint bytes.
-  FlatPairMap<double> likelihood_;
-  FlatPairMap<double> evidence_;
-  FlatPairSet executed_;
-  std::unique_ptr<ResolutionState> state_;
-  ComparisonScheduler scheduler_;
-  ProgressiveResult result_;
-  /// Seeds actually applied by Begin (deduplicated), kept for state replay
-  /// on restore.
-  std::vector<Comparison> seeds_;
-  double cumulative_benefit_ = 0.0;
+  ProgressiveLoop loop_;
+  /// Leading entries of the loop's merge log that are warm-start seeds
+  /// (Begin applies seeds before any comparison), written as the
+  /// checkpoint's seed section.
+  size_t num_seeds_ = 0;
   bool begun_ = false;
   bool exhausted_ = false;
 };

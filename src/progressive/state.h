@@ -66,12 +66,14 @@ class ResolutionState {
   /// Count (not fraction) of already-co-clustered neighbor pairs.
   uint32_t MatchedNeighborPairs(EntityId a, EntityId b, uint32_t cap);
 
+  /// Relation neighbors of e: the frozen NeighborGraph when one was given
+  /// (and covers e), else the dynamic adjacency, else none.
+  std::span<const EntityId> NeighborsOf(EntityId e) const;
+
   UnionFind& clusters() { return clusters_; }
   uint64_t matches_recorded() const { return matches_recorded_; }
 
  private:
-  std::span<const EntityId> NeighborsOf(EntityId e) const;
-
   const EntityCollection* collection_;
   const NeighborGraph* graph_;  // may be null (no relationship reasoning)
   const std::vector<std::vector<EntityId>>* dynamic_neighbors_ = nullptr;

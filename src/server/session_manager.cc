@@ -10,7 +10,6 @@
 #include "datagen/lod_generator.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
-#include "rdf/turtle.h"
 #include "util/thread_pool.h"
 
 namespace minoan {
@@ -68,40 +67,7 @@ online::OnlineOptions OnlineOptionsFor(const SessionSpec& spec) {
 }  // namespace
 
 Result<EntityCollection> LoadCorpus(const std::string& source) {
-  if (source.rfind("dir:", 0) == 0) {
-    const std::string dir = source.substr(4);
-    std::vector<std::string> files;
-    std::error_code ec;
-    for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-      const std::string ext = entry.path().extension().string();
-      if (ext == ".nt" || ext == ".ttl" || ext == ".turtle") {
-        files.push_back(entry.path().string());
-      }
-    }
-    if (ec) {
-      return Status::IoError("cannot read corpus directory " + dir + ": " +
-                             ec.message());
-    }
-    if (files.empty()) {
-      return Status::NotFound("no .nt/.ttl files in " + dir);
-    }
-    // Sorted order + file-stem KB names: exactly what the CLI's directory
-    // loader does, so a served session and `minoan resolve DIR` run over
-    // the identical collection (the byte-parity contract of kLinks).
-    std::sort(files.begin(), files.end());
-    EntityCollection collection;
-    for (const std::string& file : files) {
-      MINOAN_ASSIGN_OR_RETURN(std::vector<rdf::Triple> triples,
-                              rdf::LoadTriples(file));
-      MINOAN_RETURN_IF_ERROR(
-          collection
-              .AddKnowledgeBase(std::filesystem::path(file).stem().string(),
-                                triples)
-              .status());
-    }
-    MINOAN_RETURN_IF_ERROR(collection.Finalize());
-    return collection;
-  }
+  if (source.rfind("dir:", 0) == 0) return LoadRdfDirectory(source.substr(4));
   if (source.rfind("synthetic:", 0) == 0) {
     // synthetic:<seed>:<entities>:<kbs>:<center>
     uint64_t fields[4] = {0, 0, 0, 0};
@@ -236,8 +202,12 @@ Status SessionManager::Materialize(Entry& entry) {
   // shared corpus cache hands out const snapshots, but the online engine
   // grows its store).
   MINOAN_ASSIGN_OR_RETURN(EntityCollection warm, LoadCorpus(entry.spec.source));
+  // The session's thread count sizes a pool for the warm start's bulk
+  // scoring pass only; the engine runs inline afterwards.
+  const online::OnlineOptions options = OnlineOptionsFor(entry.spec);
+  ThreadPool pool(ResolveThreadCount(options.num_threads));
   entry.online = std::make_unique<online::OnlineResolver>(
-      OnlineOptionsFor(entry.spec), std::move(warm));
+      options, std::move(warm), &pool);
   return Status::Ok();
 }
 

@@ -185,8 +185,8 @@ class SessionManager {
       corpus_cache_;
 };
 
-/// Builds a collection from a SessionSpec source string ("dir:..." or
-/// "synthetic:..."). Exposed for the CLI and tests.
+/// Builds a collection from a SessionSpec source string ("dir:..." via
+/// LoadRdfDirectory, or "synthetic:..."). Exposed for benches and tests.
 Result<EntityCollection> LoadCorpus(const std::string& source);
 
 }  // namespace server

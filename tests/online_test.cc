@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
@@ -31,7 +32,6 @@ using online::IncrementalCollection;
 using online::OnlineBlockingOptions;
 using online::OnlineOptions;
 using online::OnlineResolver;
-using online::OnlineStepResult;
 using online::QueryCandidate;
 using rdf::NTriplesParser;
 using rdf::Triple;
@@ -375,14 +375,14 @@ TEST(OnlineResolverTest, ResumableBudgets) {
 
   OnlineResolver split(options);
   IngestCloud(split, cloud);
-  const OnlineStepResult s1 = split.ResolveBudget(40);
-  const OnlineStepResult s2 = split.ResolveBudget(40);
+  const StepResult s1 = split.ResolveBudget(40);
+  const StepResult s2 = split.ResolveBudget(40);
   EXPECT_EQ(s1.comparisons, 40u);
   EXPECT_EQ(s2.comparisons, 40u);
 
   OnlineResolver whole(options);
   IngestCloud(whole, cloud);
-  const OnlineStepResult w = whole.ResolveBudget(80);
+  const StepResult w = whole.ResolveBudget(80);
   EXPECT_EQ(w.comparisons, 80u);
 
   // Split and whole schedules must be identical, match for match.
@@ -403,12 +403,12 @@ TEST(OnlineResolverTest, BudgetExhaustionReported) {
   const datagen::LodCloud cloud = SmallCloud();
   OnlineResolver resolver{OnlineOptions{}};
   IngestCloud(resolver, cloud);
-  const OnlineStepResult all = resolver.ResolveBudget(1u << 30);
+  const StepResult all = resolver.ResolveBudget(1u << 30);
   EXPECT_TRUE(all.exhausted);
   EXPECT_GT(all.comparisons, 0u);
   EXPECT_EQ(resolver.pending_comparisons(), 0u);
   // Nothing left: further budgets are free.
-  const OnlineStepResult more = resolver.ResolveBudget(10);
+  const StepResult more = resolver.ResolveBudget(10);
   EXPECT_TRUE(more.exhausted);
   EXPECT_EQ(more.comparisons, 0u);
 }
@@ -619,6 +619,72 @@ TEST(OnlineResolverTest, SaveRestoreContinuesByteIdentically) {
   EXPECT_EQ(whole.discovered_pairs(), (*restored)->discovered_pairs());
   EXPECT_EQ(whole.evidence_assisted_matches(),
             (*restored)->evidence_assisted_matches());
+}
+
+// With evidence.increment = 0 an update-discovered pair's row is all zeros;
+// the restored engine must still know it (same bytes on re-save, same
+// Query partners, same continuation).
+TEST(OnlineResolverTest, ZeroIncrementRowsSurviveRestore) {
+  const datagen::LodCloud cloud = SmallCloud();
+  OnlineOptions options;
+  options.matcher.threshold = 0.3;
+  options.evidence.increment = 0.0;
+
+  OnlineResolver whole(options, WarmCollection(cloud));
+  whole.ResolveBudget(120);
+  whole.ResolveBudget(1u << 30);
+
+  OnlineResolver first(options, WarmCollection(cloud));
+  first.ResolveBudget(120);
+  ASSERT_GT(first.discovered_pairs(), 0u);
+  std::stringstream state;
+  ASSERT_TRUE(first.SaveState(state).ok());
+  const std::string saved = state.str();
+  auto restored = OnlineResolver::Restore(options, state);
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  std::stringstream resaved;
+  ASSERT_TRUE((*restored)->SaveState(resaved).ok());
+  EXPECT_TRUE(resaved.str() == saved) << "re-saved state bytes differ";
+
+  (*restored)->ResolveBudget(1u << 30);
+  ExpectSameMatches(whole.run().matches, (*restored)->run().matches);
+  EXPECT_EQ(whole.discovered_pairs(), (*restored)->discovered_pairs());
+}
+
+TEST(OnlineOptionsTest, ValidateRejectsNanAndOutOfRangeKnobs) {
+  EXPECT_TRUE(OnlineOptions{}.Validate().ok());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto rejected = [](OnlineOptions o, const char* field) {
+    const Status status = o.Validate();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << field;
+    EXPECT_NE(status.message().find(field), std::string::npos)
+        << status.message();
+  };
+  for (const double bad : {nan, -1.0, 7.0}) {
+    OnlineOptions o;
+    o.matcher.threshold = bad;
+    rejected(o, "threshold");
+    o = OnlineOptions{};
+    o.similarity.tfidf_weight = bad;
+    rejected(o, "tfidf_weight");
+    o = OnlineOptions{};
+    o.evidence.staleness_tolerance = bad;
+    rejected(o, "staleness_tolerance");
+  }
+  for (const double bad : {nan, -0.5}) {
+    OnlineOptions o;
+    o.benefit_weight = bad;
+    rejected(o, "benefit_weight");
+    o = OnlineOptions{};
+    o.evidence.increment = bad;
+    rejected(o, "evidence.increment");
+    o = OnlineOptions{};
+    o.evidence.weight = bad;
+    rejected(o, "evidence.weight");
+    o = OnlineOptions{};
+    o.evidence.priority = bad;
+    rejected(o, "evidence.priority");
+  }
 }
 
 TEST(OnlineResolverTest, RestoreSupportsIngestAndQuery) {

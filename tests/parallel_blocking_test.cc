@@ -367,9 +367,9 @@ TEST_F(ParallelBlockingTest, OnlineWarmStartIsThreadCountInvariant) {
     EXPECT_TRUE(collection.ok());
     online::OnlineOptions options;
     options.matcher.threshold = 0.3;
-    options.num_threads = threads;
-    online::OnlineResolver resolver(options,
-                                    std::move(collection).value());
+    ThreadPool pool(threads);
+    online::OnlineResolver resolver(options, std::move(collection).value(),
+                                    &pool);
     resolver.ResolveBudget(1'000'000'000);
     return resolver.run().matches;
   };

@@ -438,6 +438,41 @@ TEST(ResolverTest, ProgressiveBeatsRandomEarly) {
       << "scheduling must front-load recall vs random";
 }
 
+// Two matches whose neighborhoods both reach the same pair blocking never
+// produced: the pair is discovered once, even when evidence.increment = 0
+// leaves its evidence at zero after both sightings.
+TEST(ResolverTest, DiscoveredPairCountedOnceAtZeroIncrement) {
+  EntityCollection c;
+  ASSERT_TRUE(c.AddKnowledgeBase("a", Parse(R"(
+<http://a/1> <http://a/p> "alpha beta gamma" .
+<http://a/1> <http://a/rel> <http://a/3> .
+<http://a/2> <http://a/p> "delta epsilon zeta" .
+<http://a/2> <http://a/rel> <http://a/3> .
+<http://a/3> <http://a/p> "omega" .
+)")).ok());
+  ASSERT_TRUE(c.AddKnowledgeBase("b", Parse(R"(
+<http://b/1> <http://b/p> "alpha beta gamma" .
+<http://b/1> <http://b/rel> <http://b/3> .
+<http://b/2> <http://b/p> "delta epsilon zeta" .
+<http://b/2> <http://b/rel> <http://b/3> .
+<http://b/3> <http://b/p> "sigma" .
+)")).ok());
+  ASSERT_TRUE(c.Finalize().ok());
+  const auto id = [&c](const char* iri) { return c.FindByIri(iri); };
+  const NeighborGraph graph(c);
+  const SimilarityEvaluator evaluator(c);
+  ProgressiveOptions opts;
+  opts.evidence.increment = 0.0;
+  const std::vector<WeightedComparison> candidates = {
+      {id("http://a/1"), id("http://b/1"), 1.0},
+      {id("http://a/2"), id("http://b/2"), 0.9}};
+  const ProgressiveResult result =
+      ProgressiveResolver(c, graph, evaluator, opts).Resolve(candidates);
+  ASSERT_EQ(result.run.matches.size(), 2u);
+  EXPECT_EQ(result.discovered_pairs, 1u);  // (a/3, b/3), reached twice
+  EXPECT_EQ(result.run.comparisons_executed, 3u);
+}
+
 TEST(ResolverTest, SchedulerOverheadBounded) {
   ResolverWorld w = ResolverWorld::Make(97, false);
   ProgressiveOptions opts;

@@ -42,7 +42,7 @@
 //       sequence is byte-identical to one uninterrupted run.
 //
 //   minoan online DIR [--script FILE] [--threshold F] [--pis] [--seeds]
-//                 [--threads N] [--benefit NAME]
+//                 [--benefit NAME]
 //       Serves the KBs in DIR through the online incremental engine,
 //       replaying an ingest/resolve/query command script (see
 //       core/online_session.h for the grammar). Without --script, every
@@ -104,7 +104,6 @@
 #include "matching/matcher.h"
 #include "obs/report.h"
 #include "rdf/ntriples.h"
-#include "rdf/turtle.h"
 #include "server/client.h"
 #include "server/server.h"
 #include "util/cli_flags.h"
@@ -158,39 +157,14 @@ int Fail(const Status& status) {
   return 1;
 }
 
-Result<std::vector<std::string>> ListRdfFiles(const std::string& dir) {
-  std::vector<std::string> files;
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    const std::string ext = entry.path().extension().string();
-    if (ext == ".nt" || ext == ".ttl" || ext == ".turtle") {
-      files.push_back(entry.path().string());
-    }
-  }
-  if (ec) {
-    return Status::IoError("cannot read directory " + dir + ": " +
-                           ec.message());
-  }
-  if (files.empty()) {
-    return Status::NotFound("no .nt/.ttl files in " + dir);
-  }
-  std::sort(files.begin(), files.end());
-  return files;
-}
-
+/// LoadRdfDirectory plus one line per loaded KB.
 Result<EntityCollection> LoadDirectory(const std::string& dir) {
-  MINOAN_ASSIGN_OR_RETURN(std::vector<std::string> files, ListRdfFiles(dir));
-  EntityCollection collection;
-  for (const std::string& file : files) {
-    MINOAN_ASSIGN_OR_RETURN(std::vector<rdf::Triple> triples,
-                            rdf::LoadTriples(file));
-    const std::string name = std::filesystem::path(file).stem().string();
-    MINOAN_ASSIGN_OR_RETURN(uint32_t kb,
-                            collection.AddKnowledgeBase(name, triples));
-    std::printf("  %-26s %8zu triples -> KB %u\n", name.c_str(),
-                triples.size(), kb);
+  MINOAN_ASSIGN_OR_RETURN(EntityCollection collection, LoadRdfDirectory(dir));
+  for (uint32_t kb = 0; kb < collection.num_kbs(); ++kb) {
+    const KnowledgeBaseInfo& info = collection.kb(kb);
+    std::printf("  %-26s %8llu triples -> KB %u\n", info.name.c_str(),
+                static_cast<unsigned long long>(info.triples), kb);
   }
-  MINOAN_RETURN_IF_ERROR(collection.Finalize());
   return collection;
 }
 
@@ -522,8 +496,7 @@ int CmdSession(const Flags& flags) {
 
 int CmdOnline(const Flags& flags) {
   if (!CheckFlags("online", flags,
-                  {"script", "threshold", "pis", "seeds", "threads",
-                   "benefit"})) {
+                  {"script", "threshold", "pis", "seeds", "benefit"})) {
     return 2;
   }
   if (flags.positional().empty()) {
@@ -537,9 +510,9 @@ int CmdOnline(const Flags& flags) {
   options.blocking.use_pis_keys = flags.Has("pis");
   options.use_same_as_seeds = flags.Has("seeds");
   options.benefit = ParseBenefit(flags.Get("benefit", "quantity"));
-  // --threads N: warm-start scoring workers (0 = hardware concurrency).
-  // Deterministic: the resolution result is identical for every value.
-  options.num_threads = GetThreads("online", flags);
+  if (Status st = options.Validate(); !st.ok()) {
+    return Fail(Status(st.code(), "online: " + st.message()));
+  }
   OnlineSession session(options);
 
   auto files = ListRdfFiles(dir);
@@ -942,8 +915,7 @@ void Usage() {
                "  session checkpoint|resume DIR --state FILE "
                "[--step-budget N + resolve options]\n"
                "  online DIR [--script FILE --threshold F --pis --seeds "
-               "--threads N --benefit "
-               "quantity|attr|coverage|relationship]\n"
+               "--benefit quantity|attr|coverage|relationship]\n"
                "  serve [--listen HOST:PORT --max-sessions N "
                "--evict-after SECONDS --state-dir DIR --threads N "
                "--installment N --metrics-out FILE --stats-every SECS "
