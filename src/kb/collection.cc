@@ -501,8 +501,7 @@ Result<std::vector<std::string>> ListRdfFiles(const std::string& dir) {
   std::vector<std::string> files;
   std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    const std::string ext = entry.path().extension().string();
-    if (ext == ".nt" || ext == ".ttl" || ext == ".turtle") {
+    if (rdf::RdfFormatOf(entry.path().native()) != rdf::RdfFormat::kUnknown) {
       files.push_back(entry.path().string());
     }
   }

@@ -214,7 +214,8 @@ class EntityCollection {
   std::vector<uint32_t> tokenize_scratch_;
 };
 
-/// The .nt/.ttl/.turtle files directly under `dir`, sorted by path.
+/// The files directly under `dir` whose extension rdf::RdfFormatOf knows
+/// (.nt, .ttl, .turtle), sorted by path.
 Result<std::vector<std::string>> ListRdfFiles(const std::string& dir);
 
 /// Loads a directory of RDF files as one collection: every file from

@@ -1,194 +1,33 @@
 #include "rdf/ntriples.h"
 
-#include <cctype>
 #include <fstream>
 #include <sstream>
+
+#include "rdf/term_lexer.h"
 
 namespace minoan {
 namespace rdf {
 
 namespace {
 
-/// Cursor over one line with error context.
-class Cursor {
- public:
-  explicit Cursor(std::string_view line) : line_(line) {}
-
-  bool AtEnd() const { return pos_ >= line_.size(); }
-  char Peek() const { return pos_ < line_.size() ? line_[pos_] : '\0'; }
-  char PeekAt(size_t offset) const {
-    return pos_ + offset < line_.size() ? line_[pos_ + offset] : '\0';
-  }
-  char Next() { return pos_ < line_.size() ? line_[pos_++] : '\0'; }
-  size_t pos() const { return pos_; }
-
-  void SkipWhitespace() {
-    while (pos_ < line_.size() && (line_[pos_] == ' ' || line_[pos_] == '\t')) {
-      ++pos_;
-    }
-  }
-
-  Status Error(const std::string& what) const {
-    return Status::ParseError(what + " at column " + std::to_string(pos_ + 1));
-  }
-
- private:
-  std::string_view line_;
-  size_t pos_ = 0;
-};
-
-bool IsHexDigit(char c) {
-  return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') ||
-         (c >= 'A' && c <= 'F');
-}
-
-uint32_t HexValue(char c) {
-  if (c >= '0' && c <= '9') return static_cast<uint32_t>(c - '0');
-  if (c >= 'a' && c <= 'f') return static_cast<uint32_t>(c - 'a' + 10);
-  return static_cast<uint32_t>(c - 'A' + 10);
-}
-
-/// Appends the UTF-8 encoding of `cp` to `out`.
-void AppendUtf8(uint32_t cp, std::string& out) {
-  if (cp < 0x80) {
-    out += static_cast<char>(cp);
-  } else if (cp < 0x800) {
-    out += static_cast<char>(0xC0 | (cp >> 6));
-    out += static_cast<char>(0x80 | (cp & 0x3F));
-  } else if (cp < 0x10000) {
-    out += static_cast<char>(0xE0 | (cp >> 12));
-    out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-    out += static_cast<char>(0x80 | (cp & 0x3F));
-  } else {
-    out += static_cast<char>(0xF0 | (cp >> 18));
-    out += static_cast<char>(0x80 | ((cp >> 12) & 0x3F));
-    out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-    out += static_cast<char>(0x80 | (cp & 0x3F));
-  }
-}
-
-/// Decodes one backslash escape (cursor is positioned after the backslash).
-Status DecodeEscape(Cursor& cur, std::string& out) {
-  const char kind = cur.Next();
-  switch (kind) {
-    case 't':
-      out += '\t';
-      return Status::Ok();
-    case 'b':
-      out += '\b';
-      return Status::Ok();
-    case 'n':
-      out += '\n';
-      return Status::Ok();
-    case 'r':
-      out += '\r';
-      return Status::Ok();
-    case 'f':
-      out += '\f';
-      return Status::Ok();
-    case '"':
-      out += '"';
-      return Status::Ok();
-    case '\'':
-      out += '\'';
-      return Status::Ok();
-    case '\\':
-      out += '\\';
-      return Status::Ok();
-    case 'u':
-    case 'U': {
-      const int digits = kind == 'u' ? 4 : 8;
-      uint32_t cp = 0;
-      for (int i = 0; i < digits; ++i) {
-        const char h = cur.Next();
-        if (!IsHexDigit(h)) return cur.Error("bad \\u escape");
-        cp = (cp << 4) | HexValue(h);
-      }
-      if (cp > 0x10FFFF) return cur.Error("code point out of range");
-      AppendUtf8(cp, out);
-      return Status::Ok();
-    }
-    default:
-      return cur.Error(std::string("unknown escape \\") + kind);
-  }
-}
+using lex::Cursor;
 
 /// Parses <IRIREF>; cursor positioned at '<'.
 Status ParseIri(Cursor& cur, Term& out) {
-  cur.Next();  // consume '<'
   std::string iri;
-  for (;;) {
-    if (cur.AtEnd()) return cur.Error("unterminated IRI");
-    char c = cur.Next();
-    if (c == '>') break;
-    if (c == '\\') {
-      MINOAN_RETURN_IF_ERROR(DecodeEscape(cur, iri));
-    } else if (c == ' ' || c == '"' || c == '{' || c == '}' || c == '|' ||
-               c == '^' || c == '`' || static_cast<unsigned char>(c) < 0x21) {
-      return cur.Error("illegal character in IRI");
-    } else {
-      iri += c;
-    }
-  }
+  MINOAN_RETURN_IF_ERROR(lex::LexIriRef(cur, iri));
   if (iri.empty()) return cur.Error("empty IRI");
   out = Term::Iri(std::move(iri));
   return Status::Ok();
 }
 
-bool IsPnCharBase(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) ||
-         static_cast<unsigned char>(c) >= 0x80;
-}
-
-/// Parses _:label; cursor positioned at '_'.
-Status ParseBlank(Cursor& cur, Term& out) {
-  cur.Next();  // '_'
-  if (cur.Next() != ':') return cur.Error("expected ':' after '_'");
-  std::string label;
-  // First char: letter/digit/underscore.
-  if (!(IsPnCharBase(cur.Peek()) || cur.Peek() == '_')) {
-    return cur.Error("bad blank node label");
-  }
-  for (;;) {
-    const char c = cur.Peek();
-    if (IsPnCharBase(c) || c == '_' || c == '-') {
-      label += cur.Next();
-    } else if (c == '.' && (IsPnCharBase(cur.PeekAt(1)) ||
-                            cur.PeekAt(1) == '_' || cur.PeekAt(1) == '-')) {
-      // An interior '.' is part of the label; a trailing '.' is the
-      // statement terminator and must be left unconsumed.
-      label += cur.Next();
-    } else {
-      break;
-    }
-  }
-  if (label.empty()) return cur.Error("empty blank node label");
-  out = Term::Blank(std::move(label));
-  return Status::Ok();
-}
-
 /// Parses "literal"(@lang | ^^<iri>)?; cursor positioned at '"'.
 Status ParseLiteral(Cursor& cur, Term& out) {
-  cur.Next();  // '"'
   std::string value;
-  for (;;) {
-    if (cur.AtEnd()) return cur.Error("unterminated literal");
-    char c = cur.Next();
-    if (c == '"') break;
-    if (c == '\\') {
-      MINOAN_RETURN_IF_ERROR(DecodeEscape(cur, value));
-    } else {
-      value += c;
-    }
-  }
+  MINOAN_RETURN_IF_ERROR(lex::LexQuotedString(cur, '"', value));
   std::string language, datatype;
   if (cur.Peek() == '@') {
-    cur.Next();
-    while (std::isalnum(static_cast<unsigned char>(cur.Peek())) ||
-           cur.Peek() == '-') {
-      language += cur.Next();
-    }
-    if (language.empty()) return cur.Error("empty language tag");
+    MINOAN_RETURN_IF_ERROR(lex::LexLangTag(cur, language));
   } else if (cur.Peek() == '^') {
     cur.Next();
     if (cur.Next() != '^') return cur.Error("expected '^^'");
@@ -204,13 +43,13 @@ Status ParseLiteral(Cursor& cur, Term& out) {
 
 Status ParseSubject(Cursor& cur, Term& out) {
   if (cur.Peek() == '<') return ParseIri(cur, out);
-  if (cur.Peek() == '_') return ParseBlank(cur, out);
+  if (cur.Peek() == '_') return lex::LexBlankNode(cur, out);
   return cur.Error("subject must be IRI or blank node");
 }
 
 Status ParseObject(Cursor& cur, Term& out) {
   if (cur.Peek() == '<') return ParseIri(cur, out);
-  if (cur.Peek() == '_') return ParseBlank(cur, out);
+  if (cur.Peek() == '_') return lex::LexBlankNode(cur, out);
   if (cur.Peek() == '"') return ParseLiteral(cur, out);
   return cur.Error("object must be IRI, blank node, or literal");
 }

@@ -4,7 +4,11 @@
 // The parser implements the W3C N-Triples grammar restricted to what Linked
 // Open Data dumps actually use: one triple per line, `#` comments, IRIREF,
 // BLANK_NODE_LABEL, STRING_LITERAL_QUOTE with language tag or datatype, and
-// the string escape sequences \t \b \n \r \f \" \' \\ \uXXXX \UXXXXXXXX.
+// the escape sequences \t \b \n \r \f \" \' \\ \uXXXX \UXXXXXXXX (code
+// points up to U+10FFFF) in literals and IRIs alike, so every IRI the writer
+// escapes reads back. Its terms are lexed by rdf/term_lexer.h, the one term
+// grammar of this module: the Turtle parser lexes the same terms with the
+// same code, so a line accepted here reads as the same triple there.
 // Malformed lines are reported with line numbers; callers choose strict
 // (first error aborts) or lenient (skip-and-count) mode, because periphery
 // LOD dumps are routinely dirty.

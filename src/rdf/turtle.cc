@@ -1,12 +1,15 @@
 #include "rdf/turtle.h"
 
+#include <algorithm>
 #include <cctype>
 #include <fstream>
 #include <sstream>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "rdf/iri.h"
 #include "rdf/ntriples.h"
+#include "rdf/term_lexer.h"
 
 namespace minoan {
 namespace rdf {
@@ -20,10 +23,7 @@ constexpr std::string_view kXsdDouble =
 constexpr std::string_view kXsdBoolean =
     "http://www.w3.org/2001/XMLSchema#boolean";
 
-bool IsPnLocalChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_' ||
-         c == '-' || static_cast<unsigned char>(c) >= 0x80;
-}
+using lex::IsPnChar;
 
 /// Minimal relative-IRI resolution sufficient for LOD dumps.
 std::string ResolveIri(const std::string& base, const std::string& rel) {
@@ -54,39 +54,43 @@ std::string ResolveIri(const std::string& base, const std::string& rel) {
   return base.substr(0, last_slash + 1) + rel;
 }
 
-/// Recursive-descent Turtle document parser.
+/// Deepest `[ ... ]` nesting accepted; each level recurses through four
+/// frames, so a hostile document could otherwise overflow the stack.
+constexpr int kMaxBlankNodeNesting = 256;
+
+/// First character of an anonymous node's provisional label. The blank-node
+/// lexer never produces a label that starts with '-', so until the
+/// post-pass names them, anonymous nodes cannot collide with spelled ones.
+constexpr char kAnonMarker = '-';
+
+/// Recursive-descent Turtle document parser. The terms both grammars share
+/// are lexed by rdf/term_lexer.h; this class adds the Turtle-only syntax.
 class Parser {
  public:
   Parser(std::string_view doc, std::string base)
-      : doc_(doc), base_(std::move(base)) {}
+      : cur_(doc), base_(std::move(base)) {}
 
   Result<std::vector<Triple>> Run() {
     for (;;) {
       SkipWs();
-      if (AtEnd()) break;
+      if (cur_.AtEnd()) break;
       Status st = ParseStatement();
       if (!st.ok()) return Annotate(st);
     }
+    NameAnonymousNodes();
     return std::move(triples_);
   }
 
  private:
-  // --- lexing helpers ------------------------------------------------------
-
-  bool AtEnd() const { return pos_ >= doc_.size(); }
-  char Peek(size_t ahead = 0) const {
-    return pos_ + ahead < doc_.size() ? doc_[pos_ + ahead] : '\0';
-  }
-  char Next() { return pos_ < doc_.size() ? doc_[pos_++] : '\0'; }
-
+  /// Skips whitespace, line breaks and comments.
   void SkipWs() {
-    while (!AtEnd()) {
-      const char c = Peek();
+    while (!cur_.AtEnd()) {
+      const char c = cur_.Peek();
       if (c == '#') {
-        while (!AtEnd() && Next() != '\n') {
+        while (!cur_.AtEnd() && cur_.Next() != '\n') {
         }
       } else if (c == ' ' || c == '\t' || c == '\r' || c == '\n') {
-        ++pos_;
+        cur_.Next();
       } else {
         break;
       }
@@ -94,28 +98,23 @@ class Parser {
   }
 
   bool ConsumeKeyword(std::string_view word) {
-    if (doc_.size() - pos_ < word.size()) return false;
+    const std::string_view rest = cur_.rest();
+    if (rest.size() < word.size()) return false;
     for (size_t i = 0; i < word.size(); ++i) {
-      if (std::tolower(static_cast<unsigned char>(doc_[pos_ + i])) !=
+      if (std::tolower(static_cast<unsigned char>(rest[i])) !=
           std::tolower(static_cast<unsigned char>(word[i]))) {
         return false;
       }
     }
-    const char after = Peek(word.size());
-    if (IsPnLocalChar(after) || after == ':') return false;
-    pos_ += word.size();
+    const char after = cur_.PeekAt(word.size());
+    if (IsPnChar(after) || after == ':') return false;
+    cur_.Seek(cur_.pos() + word.size());
     return true;
   }
 
-  Status Error(const std::string& what) const {
-    return Status::ParseError(what);
-  }
-
   Status Annotate(const Status& st) const {
-    size_t line = 1;
-    for (size_t i = 0; i < pos_ && i < doc_.size(); ++i) {
-      if (doc_[i] == '\n') ++line;
-    }
+    const std::string_view consumed = cur_.consumed();
+    const auto line = std::count(consumed.begin(), consumed.end(), '\n') + 1;
     return Status::ParseError("line " + std::to_string(line) + ": " +
                               st.message());
   }
@@ -123,55 +122,53 @@ class Parser {
   // --- grammar -------------------------------------------------------------
 
   Status ParseStatement() {
-    if (Peek() == '@') {
-      ++pos_;
+    if (cur_.Peek() == '@') {
+      cur_.Next();
       if (ConsumeKeyword("prefix")) return ParsePrefixDirective(true);
       if (ConsumeKeyword("base")) return ParseBaseDirective(true);
-      return Error("unknown @directive");
+      return cur_.Error("unknown @directive");
     }
     // SPARQL-style directives (no trailing dot).
-    const size_t saved = pos_;
     if (ConsumeKeyword("prefix")) return ParsePrefixDirective(false);
-    pos_ = saved;
     if (ConsumeKeyword("base")) return ParseBaseDirective(false);
-    pos_ = saved;
     return ParseTriples();
   }
 
   Status ParsePrefixDirective(bool turtle_style) {
     SkipWs();
-    std::string prefix;
-    while (IsPnLocalChar(Peek()) || Peek() == '.') prefix += Next();
-    if (Next() != ':') return Error("expected ':' in @prefix");
+    const std::string prefix(
+        cur_.TakeWhile([](char c) { return IsPnChar(c) || c == '.'; }));
+    if (cur_.Next() != ':') return cur_.Error("expected ':' in @prefix");
     SkipWs();
-    Term iri;
-    MINOAN_RETURN_IF_ERROR(ParseIriRef(iri));
-    prefixes_[prefix] = iri.lexical;
+    std::string iri;
+    MINOAN_RETURN_IF_ERROR(lex::LexIriRef(cur_, iri));
+    prefixes_[prefix] = std::move(iri);
     SkipWs();
-    if (turtle_style && Next() != '.') {
-      return Error("expected '.' after @prefix");
+    if (turtle_style && cur_.Next() != '.') {
+      return cur_.Error("expected '.' after @prefix");
     }
     return Status::Ok();
   }
 
   Status ParseBaseDirective(bool turtle_style) {
     SkipWs();
-    Term iri;
-    MINOAN_RETURN_IF_ERROR(ParseIriRef(iri));
-    base_ = iri.lexical;
+    base_.clear();
+    MINOAN_RETURN_IF_ERROR(lex::LexIriRef(cur_, base_));
     SkipWs();
-    if (turtle_style && Next() != '.') return Error("expected '.' after @base");
+    if (turtle_style && cur_.Next() != '.') {
+      return cur_.Error("expected '.' after @base");
+    }
     return Status::Ok();
   }
 
   Status ParseTriples() {
     Term subject;
-    if (Peek() == '[') {
+    if (cur_.Peek() == '[') {
       MINOAN_RETURN_IF_ERROR(ParseBlankNodePropertyList(subject));
       SkipWs();
       // A bare "[ ... ] ." is legal; predicate list optional after [].
-      if (Peek() == '.') {
-        ++pos_;
+      if (cur_.Peek() == '.') {
+        cur_.Next();
         return Status::Ok();
       }
     } else {
@@ -179,7 +176,7 @@ class Parser {
     }
     MINOAN_RETURN_IF_ERROR(ParsePredicateObjectList(subject));
     SkipWs();
-    if (Next() != '.') return Error("expected '.' at end of triples");
+    if (cur_.Next() != '.') return cur_.Error("expected '.' at end of triples");
     return Status::Ok();
   }
 
@@ -190,11 +187,11 @@ class Parser {
       MINOAN_RETURN_IF_ERROR(ParseVerb(predicate));
       MINOAN_RETURN_IF_ERROR(ParseObjectList(subject, predicate));
       SkipWs();
-      if (Peek() != ';') break;
-      ++pos_;
+      if (cur_.Peek() != ';') break;
+      cur_.Next();
       SkipWs();
       // Trailing ';' before '.' or ']' is legal.
-      if (Peek() == '.' || Peek() == ']') break;
+      if (cur_.Peek() == '.' || cur_.Peek() == ']') break;
     }
     return Status::Ok();
   }
@@ -206,17 +203,17 @@ class Parser {
       MINOAN_RETURN_IF_ERROR(ParseObject(object));
       triples_.push_back({subject, predicate, object});
       SkipWs();
-      if (Peek() != ',') break;
-      ++pos_;
+      if (cur_.Peek() != ',') break;
+      cur_.Next();
     }
     return Status::Ok();
   }
 
   Status ParseVerb(Term& out) {
-    if (Peek() == 'a') {
-      const char after = Peek(1);
-      if (!IsPnLocalChar(after) && after != ':') {
-        ++pos_;
+    if (cur_.Peek() == 'a') {
+      const char after = cur_.PeekAt(1);
+      if (!IsPnChar(after) && after != ':') {
+        cur_.Next();
         out = Term::Iri(std::string(kRdfType));
         return Status::Ok();
       }
@@ -226,19 +223,21 @@ class Parser {
 
   Status ParseSubject(Term& out) {
     SkipWs();
-    if (Peek() == '_') return ParseBlankLabel(out);
-    if (Peek() == '(') return Error("RDF collections '(...)' not supported");
+    if (cur_.Peek() == '_') return lex::LexBlankNode(cur_, out);
+    if (cur_.Peek() == '(') {
+      return cur_.Error("RDF collections '(...)' not supported");
+    }
     return ParseIri(out);
   }
 
   Status ParseObject(Term& out) {
     SkipWs();
-    const char c = Peek();
-    if (c == '<') return ParseIriRefResolved(out);
-    if (c == '_') return ParseBlankLabel(out);
+    const char c = cur_.Peek();
+    if (c == '<') return ParseIri(out);
+    if (c == '_') return lex::LexBlankNode(cur_, out);
     if (c == '[') return ParseBlankNodePropertyList(out);
-    if (c == '(') return Error("RDF collections '(...)' not supported");
-    if (c == '"' || c == '\'') return ParseStringLiteral(out);
+    if (c == '(') return cur_.Error("RDF collections '(...)' not supported");
+    if (c == '"' || c == '\'') return ParseLiteral(out);
     if (c == '+' || c == '-' || std::isdigit(static_cast<unsigned char>(c))) {
       return ParseNumericLiteral(out);
     }
@@ -253,95 +252,40 @@ class Parser {
     return ParseIri(out);  // prefixed name
   }
 
-  /// '<IRI>' without base resolution (directives resolve differently).
-  Status ParseIriRef(Term& out) {
-    if (Next() != '<') return Error("expected '<'");
-    std::string iri;
-    for (;;) {
-      if (AtEnd()) return Error("unterminated IRI");
-      const char c = Next();
-      if (c == '>') break;
-      if (c == ' ' || c == '\n') return Error("whitespace inside IRI");
-      if (c == '\\') {
-        const char esc = Next();
-        if (esc == 'u' || esc == 'U') {
-          const int digits = esc == 'u' ? 4 : 8;
-          uint32_t cp = 0;
-          for (int i = 0; i < digits; ++i) {
-            const char h = Next();
-            if (!std::isxdigit(static_cast<unsigned char>(h))) {
-              return Error("bad \\u escape in IRI");
-            }
-            cp = cp * 16 + (std::isdigit(static_cast<unsigned char>(h))
-                                ? static_cast<uint32_t>(h - '0')
-                                : static_cast<uint32_t>(
-                                      std::tolower(h) - 'a' + 10));
-          }
-          // Append UTF-8.
-          std::string tmp;
-          if (cp < 0x80) {
-            tmp += static_cast<char>(cp);
-          } else if (cp < 0x800) {
-            tmp += static_cast<char>(0xC0 | (cp >> 6));
-            tmp += static_cast<char>(0x80 | (cp & 0x3F));
-          } else if (cp < 0x10000) {
-            tmp += static_cast<char>(0xE0 | (cp >> 12));
-            tmp += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-            tmp += static_cast<char>(0x80 | (cp & 0x3F));
-          } else {
-            tmp += static_cast<char>(0xF0 | (cp >> 18));
-            tmp += static_cast<char>(0x80 | ((cp >> 12) & 0x3F));
-            tmp += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-            tmp += static_cast<char>(0x80 | (cp & 0x3F));
-          }
-          iri += tmp;
-        } else {
-          return Error("unsupported escape in IRI");
-        }
-      } else {
-        iri += c;
-      }
-    }
-    out = Term::Iri(std::move(iri));
-    return Status::Ok();
-  }
-
-  Status ParseIriRefResolved(Term& out) {
-    MINOAN_RETURN_IF_ERROR(ParseIriRef(out));
-    out.lexical = ResolveIri(base_, out.lexical);
-    return Status::Ok();
-  }
-
-  /// IRIREF or prefixed name.
+  /// IRIREF (resolved against @base) or prefixed name.
   Status ParseIri(Term& out) {
     SkipWs();
-    if (Peek() == '<') return ParseIriRefResolved(out);
+    if (cur_.Peek() == '<') {
+      std::string iri;
+      MINOAN_RETURN_IF_ERROR(lex::LexIriRef(cur_, iri));
+      out = Term::Iri(ResolveIri(base_, iri));
+      return Status::Ok();
+    }
     // Prefixed name: PN_PREFIX? ':' PN_LOCAL.
     std::string prefix;
-    while (IsPnLocalChar(Peek()) ||
-           (Peek() == '.' && IsPnLocalChar(Peek(1)))) {
-      prefix += Next();
+    while (IsPnChar(cur_.Peek()) ||
+           (cur_.Peek() == '.' && IsPnChar(cur_.PeekAt(1)))) {
+      prefix += cur_.Next();
     }
-    if (Peek() != ':') {
-      return Error("expected IRI or prefixed name");
+    if (cur_.Peek() != ':') {
+      return cur_.Error("expected IRI or prefixed name");
     }
-    ++pos_;
+    cur_.Next();
     auto it = prefixes_.find(prefix);
     if (it == prefixes_.end()) {
-      return Error("undefined prefix '" + prefix + ":'");
+      return cur_.Error("undefined prefix '" + prefix + ":'");
     }
     std::string local;
     for (;;) {
-      const char c = Peek();
-      if (IsPnLocalChar(c) || c == ':' || c == '%') {
-        local += Next();
+      const char c = cur_.Peek();
+      if (IsPnChar(c) || c == ':' || c == '%') {
+        local += cur_.Next();
       } else if (c == '\\') {
-        ++pos_;
-        local += Next();  // PN_LOCAL_ESC: take the escaped char verbatim
-      } else if (c == '.' &&
-                 (IsPnLocalChar(Peek(1)) || Peek(1) == ':' ||
-                  Peek(1) == '%')) {
-        local += Next();  // interior dot
+        cur_.Next();
+        local += cur_.Next();  // PN_LOCAL_ESC: take the escaped char verbatim
+      } else if (c == '.' && (IsPnChar(cur_.PeekAt(1)) ||
+                              cur_.PeekAt(1) == ':' || cur_.PeekAt(1) == '%')) {
+        local += cur_.Next();  // interior dot
       } else {
         break;
       }
@@ -350,119 +294,68 @@ class Parser {
     return Status::Ok();
   }
 
-  Status ParseBlankLabel(Term& out) {
-    if (Next() != '_' || Next() != ':') return Error("expected '_:'");
-    std::string label;
-    while (IsPnLocalChar(Peek()) ||
-           (Peek() == '.' && IsPnLocalChar(Peek(1)))) {
-      label += Next();
-    }
-    if (label.empty()) return Error("empty blank node label");
-    out = Term::Blank(std::move(label));
-    return Status::Ok();
-  }
-
   Status ParseBlankNodePropertyList(Term& out) {
-    ++pos_;  // '['
-    out = Term::Blank("anon" + std::to_string(++anon_counter_));
+    if (depth_ == kMaxBlankNodeNesting) {
+      return cur_.Error("blank node nesting exceeds " +
+                        std::to_string(kMaxBlankNodeNesting) + " levels");
+    }
+    cur_.Next();  // '['
+    out = Term::Blank(kAnonMarker + std::to_string(++anon_count_));
     SkipWs();
-    if (Peek() == ']') {
-      ++pos_;
+    if (cur_.Peek() == ']') {
+      cur_.Next();
       return Status::Ok();
     }
+    // An error aborts the whole parse, so depth_ needs no unwinding.
+    ++depth_;
     MINOAN_RETURN_IF_ERROR(ParsePredicateObjectList(out));
+    --depth_;
     SkipWs();
-    if (Next() != ']') return Error("expected ']'");
+    if (cur_.Next() != ']') return cur_.Error("expected ']'");
     return Status::Ok();
   }
 
-  Status ParseStringLiteral(Term& out) {
-    const char quote = Next();
-    if (Peek() == quote && Peek(1) == quote) {
-      return Error("triple-quoted strings not supported");
+  /// Renames the provisional anonymous labels, in order of appearance, to
+  /// anon1, anon2, ..., skipping every label the document spells itself.
+  void NameAnonymousNodes() {
+    if (anon_count_ == 0) return;
+    std::unordered_set<std::string> spelled;
+    for (const Triple& t : triples_) {
+      for (const Term* term : {&t.subject, &t.object}) {
+        if (term->is_blank() && term->lexical[0] != kAnonMarker) {
+          spelled.insert(term->lexical);
+        }
+      }
+    }
+    std::vector<std::string> names;
+    names.reserve(anon_count_);
+    for (uint64_t n = 1; names.size() < anon_count_; ++n) {
+      std::string name = "anon" + std::to_string(n);
+      if (spelled.count(name) == 0) names.push_back(std::move(name));
+    }
+    for (Triple& t : triples_) {
+      for (Term* term : {&t.subject, &t.object}) {
+        if (term->is_blank() && term->lexical[0] == kAnonMarker) {
+          term->lexical = names[std::stoull(term->lexical.substr(1)) - 1];
+        }
+      }
+    }
+  }
+
+  /// A quoted literal with an optional language tag or datatype.
+  Status ParseLiteral(Term& out) {
+    const char quote = cur_.Peek();
+    if (cur_.PeekAt(1) == quote && cur_.PeekAt(2) == quote) {
+      return cur_.Error("triple-quoted strings not supported");
     }
     std::string value;
-    for (;;) {
-      if (AtEnd()) return Error("unterminated string");
-      const char c = Next();
-      if (c == quote) break;
-      if (c == '\n') return Error("newline in single-line string");
-      if (c == '\\') {
-        const char esc = Next();
-        switch (esc) {
-          case 't':
-            value += '\t';
-            break;
-          case 'b':
-            value += '\b';
-            break;
-          case 'n':
-            value += '\n';
-            break;
-          case 'r':
-            value += '\r';
-            break;
-          case 'f':
-            value += '\f';
-            break;
-          case '"':
-            value += '"';
-            break;
-          case '\'':
-            value += '\'';
-            break;
-          case '\\':
-            value += '\\';
-            break;
-          case 'u':
-          case 'U': {
-            const int digits = esc == 'u' ? 4 : 8;
-            uint32_t cp = 0;
-            for (int i = 0; i < digits; ++i) {
-              const char h = Next();
-              if (!std::isxdigit(static_cast<unsigned char>(h))) {
-                return Error("bad \\u escape");
-              }
-              cp = cp * 16 + (std::isdigit(static_cast<unsigned char>(h))
-                                  ? static_cast<uint32_t>(h - '0')
-                                  : static_cast<uint32_t>(
-                                        std::tolower(h) - 'a' + 10));
-            }
-            if (cp < 0x80) {
-              value += static_cast<char>(cp);
-            } else if (cp < 0x800) {
-              value += static_cast<char>(0xC0 | (cp >> 6));
-              value += static_cast<char>(0x80 | (cp & 0x3F));
-            } else if (cp < 0x10000) {
-              value += static_cast<char>(0xE0 | (cp >> 12));
-              value += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-              value += static_cast<char>(0x80 | (cp & 0x3F));
-            } else {
-              value += static_cast<char>(0xF0 | (cp >> 18));
-              value += static_cast<char>(0x80 | ((cp >> 12) & 0x3F));
-              value += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-              value += static_cast<char>(0x80 | (cp & 0x3F));
-            }
-            break;
-          }
-          default:
-            return Error("unknown string escape");
-        }
-      } else {
-        value += c;
-      }
-    }
-    // Language tag or datatype.
+    MINOAN_RETURN_IF_ERROR(lex::LexQuotedString(cur_, quote, value));
     std::string language, datatype;
-    if (Peek() == '@') {
-      ++pos_;
-      while (std::isalnum(static_cast<unsigned char>(Peek())) ||
-             Peek() == '-') {
-        language += Next();
-      }
-      if (language.empty()) return Error("empty language tag");
-    } else if (Peek() == '^' && Peek(1) == '^') {
-      pos_ += 2;
+    if (cur_.Peek() == '@') {
+      MINOAN_RETURN_IF_ERROR(lex::LexLangTag(cur_, language));
+    } else if (cur_.Peek() == '^' && cur_.PeekAt(1) == '^') {
+      cur_.Next();
+      cur_.Next();
       Term dt;
       MINOAN_RETURN_IF_ERROR(ParseIri(dt));
       datatype = std::move(dt.lexical);
@@ -474,24 +367,24 @@ class Parser {
 
   Status ParseNumericLiteral(Term& out) {
     std::string text;
-    if (Peek() == '+' || Peek() == '-') text += Next();
+    if (cur_.Peek() == '+' || cur_.Peek() == '-') text += cur_.Next();
     bool has_dot = false, has_exp = false;
-    while (std::isdigit(static_cast<unsigned char>(Peek())) ||
-           (Peek() == '.' &&
-            std::isdigit(static_cast<unsigned char>(Peek(1)))) ||
-           Peek() == 'e' || Peek() == 'E') {
-      const char c = Next();
+    while (std::isdigit(static_cast<unsigned char>(cur_.Peek())) ||
+           (cur_.Peek() == '.' &&
+            std::isdigit(static_cast<unsigned char>(cur_.PeekAt(1)))) ||
+           cur_.Peek() == 'e' || cur_.Peek() == 'E') {
+      const char c = cur_.Next();
       if (c == '.') has_dot = true;
       if (c == 'e' || c == 'E') {
         has_exp = true;
         text += c;
-        if (Peek() == '+' || Peek() == '-') text += Next();
+        if (cur_.Peek() == '+' || cur_.Peek() == '-') text += cur_.Next();
         continue;
       }
       text += c;
     }
     if (text.empty() || text == "+" || text == "-") {
-      return Error("malformed numeric literal");
+      return cur_.Error("malformed numeric literal");
     }
     const std::string_view datatype =
         has_exp ? kXsdDouble : (has_dot ? kXsdDecimal : kXsdInteger);
@@ -499,11 +392,11 @@ class Parser {
     return Status::Ok();
   }
 
-  std::string_view doc_;
-  size_t pos_ = 0;
+  lex::Cursor cur_;
   std::string base_;
   std::unordered_map<std::string, std::string> prefixes_;
-  uint64_t anon_counter_ = 0;
+  int depth_ = 0;
+  uint64_t anon_count_ = 0;
   std::vector<Triple> triples_;
 };
 
@@ -524,15 +417,33 @@ Result<std::vector<Triple>> TurtleParser::ParseFile(
   return ParseString(buffer.str());
 }
 
+RdfFormat RdfFormatOf(std::string_view path) {
+  const size_t slash = path.rfind('/');
+  const std::string_view name =
+      slash == std::string_view::npos ? path : path.substr(slash + 1);
+  // A leading '.' names a hidden file, not an extension.
+  const size_t dot = name.rfind('.');
+  const std::string_view ext = dot == std::string_view::npos || dot == 0
+                                   ? std::string_view()
+                                   : name.substr(dot);
+  if (ext == ".nt") return RdfFormat::kNTriples;
+  if (ext == ".ttl" || ext == ".turtle") return RdfFormat::kTurtle;
+  return RdfFormat::kUnknown;
+}
+
 Result<std::vector<Triple>> LoadTriples(const std::string& path) {
-  const size_t dot = path.rfind('.');
-  const std::string ext = dot == std::string::npos ? "" : path.substr(dot);
-  if (ext == ".ttl" || ext == ".turtle") {
-    return TurtleParser().ParseFile(path);
-  }
-  if (ext == ".nt" || ext == ".ntriples") {
-    NTriplesParser parser;
-    return parser.ParseFile(path);
+  switch (RdfFormatOf(path)) {
+    case RdfFormat::kNTriples:
+      return NTriplesParser().ParseFile(path);  // lenient: no parse errors
+    case RdfFormat::kTurtle: {
+      Result<std::vector<Triple>> triples = TurtleParser().ParseFile(path);
+      if (!triples.ok() && triples.status().code() == StatusCode::kParseError) {
+        return Status::ParseError(path + ": " + triples.status().message());
+      }
+      return triples;
+    }
+    case RdfFormat::kUnknown:
+      break;
   }
   return Status::InvalidArgument("unknown RDF extension: " + path);
 }

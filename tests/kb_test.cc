@@ -2,6 +2,8 @@
 // and cloud statistics.
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
 
 #include "gtest/gtest.h"
 #include "kb/collection.h"
@@ -287,6 +289,45 @@ TEST(StatsTest, SharedVocabularyNotProprietary) {
   const CloudStats stats = ComputeCloudStats(c);
   EXPECT_EQ(stats.num_vocabularies, 1u);
   EXPECT_EQ(stats.proprietary_vocabularies, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Directory loading
+// ---------------------------------------------------------------------------
+
+TEST(RdfDirectoryTest, ListsExactlyTheKnownExtensions) {
+  const std::string dir = ::testing::TempDir() + "/kb_test_extensions";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  for (const char* name :
+       {"a.nt", "b.ttl", "c.turtle", "d.ntriples", "e.txt"}) {
+    std::ofstream(dir + "/" + name) << "<http://x/s> <http://x/p> \"v\" .\n";
+  }
+  auto files = ListRdfFiles(dir);
+  ASSERT_TRUE(files.ok()) << files.status();
+  ASSERT_EQ(files->size(), 3u);
+  EXPECT_EQ((*files)[0], dir + "/a.nt");
+  EXPECT_EQ((*files)[1], dir + "/b.ttl");
+  EXPECT_EQ((*files)[2], dir + "/c.turtle");
+  std::filesystem::remove_all(dir);
+}
+
+TEST(RdfDirectoryTest, LoadErrorNamesTheBadFile) {
+  const std::string dir = ::testing::TempDir() + "/kb_test_bad_file";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  std::ofstream(dir + "/a.nt") << "<http://x/s> <http://x/p> \"v\" .\n";
+  std::ofstream(dir + "/bad.ttl") << "@prefix ex: <http://x/> .\n"
+                                     "ex:a ex:b ex:c .\n"
+                                     "ex:d ex:e ex:f ex:g .\n";
+  std::ofstream(dir + "/c.ttl") << "<http://x/t> <http://x/p> \"w\" .\n";
+  auto collection = LoadRdfDirectory(dir);
+  ASSERT_FALSE(collection.ok());
+  EXPECT_EQ(collection.status().code(), StatusCode::kParseError);
+  EXPECT_NE(collection.status().message().find(dir + "/bad.ttl: line 3: "),
+            std::string::npos)
+      << collection.status();
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

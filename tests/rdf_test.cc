@@ -197,6 +197,17 @@ TEST(ParserErrorTest, SpaceInsideIriRejected) {
   EXPECT_FALSE(ParseErr("<http://x/a b> <http://x/p> \"v\" .").ok());
 }
 
+TEST(ParserErrorTest, RawLineBreakInLiteralRejected) {
+  EXPECT_FALSE(ParseErr("<http://x/s> <http://x/p> \"a\nb\" .").ok());
+  EXPECT_TRUE(ParseErr("<http://x/s> <http://x/p> \"a\\nb\" .").ok());
+}
+
+TEST(ParserErrorTest, CodePointAboveUnicodeRejected) {
+  const Status st = ParseErr(R"(<http://x/s> <http://x/p> "\UFFFFFFFF" .)");
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("code point out of range"), std::string::npos);
+}
+
 TEST(ParserErrorTest, TrailingGarbageRejected) {
   EXPECT_FALSE(ParseErr("<http://x/s> <http://x/p> \"v\" . garbage").ok());
 }

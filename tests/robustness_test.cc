@@ -128,6 +128,22 @@ TEST(ParserRobustnessTest, TurtleDeeplyNestedBlankNodes) {
   EXPECT_EQ(result->size(), 65u);
 }
 
+TEST(ParserRobustnessTest, TurtleHostileNestingErrorsInsteadOfOverflowing) {
+  // 100,000 levels would overflow the stack of an uncapped recursive parser.
+  constexpr int kLevels = 100000;
+  std::string doc = "@prefix ex: <http://x/> .\nex:s ex:p ";
+  for (int i = 0; i < kLevels; ++i) doc += "[ ex:q ";
+  doc += "\"leaf\"";
+  for (int i = 0; i < kLevels; ++i) doc += " ]";
+  doc += " .\n";
+  rdf::TurtleParser parser;
+  auto result = parser.ParseString(doc);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kParseError);
+  EXPECT_NE(result.status().message().find("256"), std::string::npos)
+      << result.status();
+}
+
 // ---------------------------------------------------------------------------
 // Degenerate collections through the full pipeline
 // ---------------------------------------------------------------------------
