@@ -1,4 +1,4 @@
-// Scenario: interlinking a LOD cloud from N-Triples files on disk.
+// Scenario: interlinking a LOD cloud from RDF dumps on disk.
 //
 // The workflow a data publisher would run: load every KB dump in a
 // directory, resolve across them, and emit the discovered equivalences as
@@ -12,7 +12,6 @@
 // directory first, so the example is runnable out of the box. If the
 // directory contains a ground_truth.tsv, the run is scored against it.
 
-#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -22,37 +21,30 @@
 #include "datagen/lod_generator.h"
 #include "eval/ground_truth.h"
 #include "eval/metrics.h"
+#include "kb/collection.h"
 #include "kb/stats.h"
 #include "matching/matcher.h"
 #include "rdf/ntriples.h"
+#include "rdf/turtle.h"
 
 using namespace minoan;  // NOLINT
 
 namespace {
 
 Status ResolveDirectory(const std::string& dir, const std::string& out_path) {
-  // --- Load every .nt file as one knowledge base ---------------------------
-  std::vector<std::string> files;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.path().extension() == ".nt") {
-      files.push_back(entry.path().string());
-    }
-  }
-  if (files.empty()) return Status::NotFound("no .nt files in " + dir);
-  std::sort(files.begin(), files.end());
-
-  rdf::NTriplesParser parser;  // lenient: periphery dumps are dirty
+  // --- Load every RDF dump (.nt, .ttl) as one knowledge base -------------
+  // The CLI's file list and parsers: N-Triples is read leniently, since
+  // periphery dumps are dirty.
+  MINOAN_ASSIGN_OR_RETURN(std::vector<std::string> files, ListRdfFiles(dir));
   EntityCollection collection;
   for (const std::string& file : files) {
-    rdf::ParseStats stats;
     MINOAN_ASSIGN_OR_RETURN(std::vector<rdf::Triple> triples,
-                            parser.ParseFile(file, &stats));
+                            rdf::LoadTriples(file));
     const std::string name = std::filesystem::path(file).stem().string();
     MINOAN_ASSIGN_OR_RETURN(uint32_t kb_id,
                             collection.AddKnowledgeBase(name, triples));
-    std::printf("  loaded %-22s %8llu triples (%llu skipped) -> KB %u\n",
-                name.c_str(), static_cast<unsigned long long>(stats.triples),
-                static_cast<unsigned long long>(stats.skipped), kb_id);
+    std::printf("  loaded %-22s %8zu triples -> KB %u\n", name.c_str(),
+                triples.size(), kb_id);
   }
   MINOAN_RETURN_IF_ERROR(collection.Finalize());
 

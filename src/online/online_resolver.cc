@@ -103,11 +103,11 @@ OnlineResolver::OnlineResolver(OnlineOptions options, EntityCollection&& warm,
   // Index sequentially (the incremental index mutates per entity), then
   // price the whole candidate batch in the loop's bulk pass — before any
   // seed, while the state is pristine.
-  std::vector<uint64_t> to_score;
+  std::vector<ComparisonScheduler::Entry> to_score;
   for (EntityId id = 0; id < coll_.num_entities(); ++id) {
     IndexEntity(id, &to_score);
   }
-  loop_.ScoreAndPush(to_score, pool);
+  loop_.ScoreAndPush(std::move(to_score), pool);
   ConsumeSameAsSeeds();
 }
 
@@ -165,7 +165,8 @@ Result<EntityId> OnlineResolver::Ingest(
   return id;
 }
 
-void OnlineResolver::IndexEntity(EntityId id, std::vector<uint64_t>* to_score) {
+void OnlineResolver::IndexEntity(
+    EntityId id, std::vector<ComparisonScheduler::Entry>* to_score) {
   const EntityCollection& c = collection();
   if (neighbors_.size() < c.num_entities()) {
     neighbors_.resize(c.num_entities());
@@ -194,7 +195,7 @@ void OnlineResolver::IndexEntity(EntityId id, std::vector<uint64_t>* to_score) {
     // before blocking produced it.
     if (loop_.executed().Contains(pair)) continue;
     if (to_score != nullptr) {
-      to_score->push_back(pair);
+      to_score->push_back({d.weight, pair});
     } else {
       loop_.Schedule(pair);
     }

@@ -155,6 +155,7 @@ class OnlineResolver {
   const EntityCollection& collection() const { return coll_.collection(); }
   /// Cumulative run record (comparisons from ResolveBudget AND Query).
   const ResolutionRun& run() const { return loop_.result().run; }
+  /// Live scheduled pairs; a scan of the unconsumed schedule, for stats.
   size_t pending_comparisons() const {
     return loop_.scheduler().live_size();
   }
@@ -183,9 +184,11 @@ class OnlineResolver {
   /// kernel, with partner registration as its new-pair hook.
   ProgressiveLoop MakeLoop();
   /// Indexes one entity and registers its delta candidates with the loop;
-  /// the pairs to schedule go to `to_score` when given (warm-start bulk
-  /// scoring), else are pushed one by one.
-  void IndexEntity(EntityId id, std::vector<uint64_t>* to_score = nullptr);
+  /// the pairs to schedule go to `to_score` with their likelihoods when
+  /// given (warm-start bulk scoring), else are pushed one by one.
+  void IndexEntity(
+      EntityId id,
+      std::vector<ComparisonScheduler::Entry>* to_score = nullptr);
   /// Applies any not-yet-consumed ingested owl:sameAs links as zero-cost
   /// trusted matches (no-op unless use_same_as_seeds).
   void ConsumeSameAsSeeds();

@@ -22,6 +22,23 @@ Status CheckKnob(const char* name, double v, double hi = HUGE_VAL) {
   return Status::InvalidArgument(os.str());
 }
 
+/// Scheduler telemetry, flushed once per ScoreAndPush and per Step.
+struct ScheduleCounters {
+  obs::Counter& prime_candidates;
+  obs::Counter& run_pops;
+  obs::Counter& heap_pops;
+  obs::Counter& superseded_skips;
+};
+
+ScheduleCounters& Counters() {
+  static ScheduleCounters counters{
+      obs::MetricsRegistry::Default().counter("progressive.prime_candidates"),
+      obs::MetricsRegistry::Default().counter("progressive.run_pops"),
+      obs::MetricsRegistry::Default().counter("progressive.heap_pops"),
+      obs::MetricsRegistry::Default().counter("progressive.superseded_skips")};
+  return counters;
+}
+
 }  // namespace
 
 Status ValidateLoopOptions(const ProgressiveOptions& options,
@@ -53,6 +70,7 @@ void ProgressiveLoop::Reset() {
   likelihood_.Clear();
   evidence_.Clear();
   executed_.Clear();
+  likelihood_overwritten_ = false;
   scheduler_ = ComparisonScheduler();
   result_ = ProgressiveResult();
   merges_.clear();
@@ -147,30 +165,33 @@ bool ProgressiveLoop::ReadRun(std::istream& in, uint32_t num_entities,
 
 void ProgressiveLoop::Reserve(size_t candidates) {
   likelihood_.Reserve(candidates);
-  executed_.Reserve(candidates);
 }
 
 void ProgressiveLoop::SetLikelihood(uint64_t pair, double likelihood) {
   bool created = false;
   likelihood_.FindOrInsert(pair, &created) = likelihood;
+  if (!created) likelihood_overwritten_ = true;
   if (created && on_new_pair_ && !evidence_.Contains(pair) &&
       !executed_.Contains(pair)) {
     on_new_pair_(pair);
   }
 }
 
+double ProgressiveLoop::PriorityFrom(double likelihood, EntityId a,
+                                     EntityId b) const {
+  const double benefit = estimator_.PairBenefit(a, b, *state_);
+  return likelihood * (1.0 + options_.benefit_weight * benefit);
+}
+
 double ProgressiveLoop::Priority(EntityId a, EntityId b,
                                  uint64_t pair) const {
-  // The likelihood: blocking's, plus the evidence priority once neighbor
-  // evidence exists.
   const double* base = likelihood_.Find(pair);
   const double* ev = evidence_.Find(pair);
   double likelihood = base == nullptr ? 0.0 : *base;
   if (ev != nullptr) {
     likelihood += options_.evidence.priority * std::min(1.0, *ev);
   }
-  const double benefit = estimator_.PairBenefit(a, b, *state_);
-  return likelihood * (1.0 + options_.benefit_weight * benefit);
+  return PriorityFrom(likelihood, a, b);
 }
 
 double ProgressiveLoop::EvidenceBonus(uint64_t pair) const {
@@ -182,23 +203,26 @@ void ProgressiveLoop::Schedule(uint64_t pair) {
   scheduler_.Push(pair, Priority(PairKeyFirst(pair), PairKeySecond(pair), pair));
 }
 
-void ProgressiveLoop::ScoreAndPush(std::span<const uint64_t> pairs,
-                                   ThreadPool* pool) {
-  std::vector<double> priorities(pairs.size());
+void ProgressiveLoop::ScoreAndPush(
+    std::vector<ComparisonScheduler::Entry> entries, ThreadPool* pool) {
   const auto score = [&](size_t i) {
-    priorities[i] =
-        Priority(PairKeyFirst(pairs[i]), PairKeySecond(pairs[i]), pairs[i]);
+    ComparisonScheduler::Entry& e = entries[i];
+    // A relisted pair's earlier copies carry an overwritten likelihood;
+    // the table holds the one every copy must be priced from.
+    const double likelihood =
+        likelihood_overwritten_ ? *likelihood_.Find(e.pair) : e.priority;
+    e.priority =
+        PriorityFrom(likelihood, PairKeyFirst(e.pair), PairKeySecond(e.pair));
   };
   // The gate only decides where the loop runs; the scores are identical
   // either way.
-  if (pool != nullptr && pairs.size() >= 256) {
-    pool->ParallelFor(pairs.size(), score);
+  if (pool != nullptr && entries.size() >= 256) {
+    pool->ParallelFor(entries.size(), score);
   } else {
-    for (size_t i = 0; i < pairs.size(); ++i) score(i);
+    for (size_t i = 0; i < entries.size(); ++i) score(i);
   }
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    scheduler_.Push(pairs[i], priorities[i]);
-  }
+  Counters().prime_candidates.Add(entries.size());
+  scheduler_.Prime(std::move(entries));
   result_.scheduler_pushes = scheduler_.total_pushes();
 }
 
@@ -228,6 +252,7 @@ StepResult ProgressiveLoop::Step(uint64_t max_comparisons,
   const size_t match_mark = result_.run.matches.size();
   const double tolerance = options_.evidence.staleness_tolerance;
   const Stopwatch watch;
+  const ComparisonScheduler::PopCounts pops = scheduler_.pop_counts();
   uint64_t pair = 0;
   double popped_priority = 0.0;
   while (max_comparisons == 0 || out.comparisons < max_comparisons) {
@@ -258,6 +283,11 @@ StepResult ProgressiveLoop::Step(uint64_t max_comparisons,
   out.matches.assign(result_.run.matches.begin() + match_mark,
                      result_.run.matches.end());
   result_.scheduler_pushes = scheduler_.total_pushes();
+  const ComparisonScheduler::PopCounts& now = scheduler_.pop_counts();
+  ScheduleCounters& counters = Counters();
+  counters.run_pops.Add(now.run_pops - pops.run_pops);
+  counters.heap_pops.Add(now.heap_pops - pops.heap_pops);
+  counters.superseded_skips.Add(now.superseded_skips - pops.superseded_skips);
   return out;
 }
 

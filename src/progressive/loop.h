@@ -17,7 +17,6 @@
 #include <istream>
 #include <memory>
 #include <ostream>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -76,7 +75,7 @@ struct ProgressiveResult {
   /// Matches that needed neighbor evidence to clear the threshold (profile
   /// similarity alone was below it).
   uint64_t evidence_assisted_matches = 0;
-  /// Scheduling overhead: total heap pushes.
+  /// Scheduling overhead: total pushes, primed candidates included.
   uint64_t scheduler_pushes = 0;
 };
 
@@ -154,16 +153,23 @@ class ProgressiveLoop {
 
   // --- Candidates and seeds ------------------------------------------------
 
+  /// Pre-sizes the likelihood table for `candidates` blocking candidates.
+  /// (The executed set grows with the comparisons actually run.)
   void Reserve(size_t candidates);
   /// Records (or overwrites) a blocking candidate's likelihood.
   void SetLikelihood(uint64_t pair, double likelihood);
   /// Pushes `pair` at its priority against the current state.
   void Schedule(uint64_t pair);
-  /// Prices every pair against the current state and pushes them in order.
-  /// The state must be pristine for the fan-out: with no match recorded
-  /// every cluster is a singleton and Priority only reads. Scores land in a
-  /// per-index array, so the schedule is identical with or without `pool`.
-  void ScoreAndPush(std::span<const uint64_t> pairs, ThreadPool* pool);
+  /// Primes a fresh schedule with a batch of candidates. Each entry comes
+  /// in carrying its pair's recorded likelihood in `priority` and leaves
+  /// priced by the one priority formula, PriorityFrom(likelihood, a, b);
+  /// the entries then become the scheduler's sorted run. Preconditions:
+  /// the schedule is fresh (nothing pushed since Reset) and the state is
+  /// pristine (no merge, no evidence), so a pair's priority is a function
+  /// of its likelihood and PairBenefit only reads. Each entry's score lands
+  /// in its own slot, so the schedule is identical with or without `pool`.
+  void ScoreAndPush(std::vector<ComparisonScheduler::Entry> entries,
+                    ThreadPool* pool);
   /// Applies a trusted match at zero budget cost and propagates it through
   /// the update phase. Returns false (no-op) when the pair was already
   /// executed.
@@ -207,8 +213,10 @@ class ProgressiveLoop {
   ResolutionState& state() { return *state_; }
 
  private:
-  /// likelihood × (1 + benefit_weight · benefit), where the likelihood
-  /// includes the evidence priority.
+  /// The priority formula: likelihood × (1 + benefit_weight · benefit).
+  double PriorityFrom(double likelihood, EntityId a, EntityId b) const;
+  /// PriorityFrom of the pair's recorded likelihood plus, once neighbor
+  /// evidence exists, the evidence priority.
   double Priority(EntityId a, EntityId b, uint64_t pair) const;
   void Execute(uint64_t pair);
   void UpdatePhase(EntityId a, EntityId b);
@@ -232,6 +240,10 @@ class ProgressiveLoop {
   FlatPairMap<double> likelihood_;
   FlatPairMap<double> evidence_;
   FlatPairSet executed_;
+  /// Set once SetLikelihood overwrote a likelihood since Reset: a
+  /// candidate's carried likelihood may then be stale, and ScoreAndPush
+  /// re-reads the table.
+  bool likelihood_overwritten_ = false;
   std::unique_ptr<ResolutionState> state_;
   ComparisonScheduler scheduler_;
   ProgressiveResult result_;

@@ -41,13 +41,15 @@ void ProgressiveResolver::Begin(
     max_weight = std::max(max_weight, c.weight);
   }
   const double scale = max_weight > 0.0 ? 1.0 / max_weight : 1.0;
-  std::vector<uint64_t> pairs(candidates.size());
+  std::vector<ComparisonScheduler::Entry> run(candidates.size());
   for (size_t i = 0; i < candidates.size(); ++i) {
-    pairs[i] = PairKey(candidates[i].a, candidates[i].b);
-    loop_.SetLikelihood(pairs[i], candidates[i].weight * scale);
+    const uint64_t pair = PairKey(candidates[i].a, candidates[i].b);
+    const double likelihood = candidates[i].weight * scale;
+    loop_.SetLikelihood(pair, likelihood);
+    run[i] = {likelihood, pair};
   }
   // Seeds apply after the bulk pass: it needs the pristine state.
-  loop_.ScoreAndPush(pairs, pool_);
+  loop_.ScoreAndPush(std::move(run), pool_);
 
   // Warm-start seeds: trusted matches at zero budget cost, propagated so
   // their neighborhoods get evidence before anything is compared. Only the

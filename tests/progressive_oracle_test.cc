@@ -6,16 +6,17 @@
 // pair asc) order, and the SimilarityEvaluator's two components combined
 // by hand. It shares only the ResolutionState and the benefit models with
 // production. On seeded tiny clouds, across every benefit model, update
-// phase on/off, with/without seeds and several Step slicings, the batch
-// ProgressiveResolver must emit exactly the oracle's match sequence
-// (pairs, comparison stamps and similarity bits) — so any rewrite of the
-// loop's scheduler, tables or kernels is checked against it.
+// phase on/off, with/without seeds, several Step slicings and a mid-run
+// checkpoint, the batch ProgressiveResolver must emit exactly the oracle's
+// match sequence (pairs, comparison stamps and similarity bits) — so any
+// rewrite of the loop's scheduler, tables or kernels is checked against it.
 
 #include <algorithm>
 #include <cstring>
 #include <map>
 #include <memory>
 #include <set>
+#include <sstream>
 #include <vector>
 
 #include "blocking/blocking_method.h"
@@ -263,6 +264,41 @@ TEST(ProgressiveOracleTest, BatchLoopMatchesNaiveReference) {
         }
       }
     }
+  }
+}
+
+// A checkpoint taken mid-run — the primed run partly consumed, some of its
+// entries superseded by the seeds' and the matches' update-phase pushes —
+// restores into a fresh resolver that finishes with the oracle's sequence.
+TEST(ProgressiveOracleTest, MidRunCheckpointReproducesReference) {
+  SimilarityOptions similarity;
+  const TinyWorld w = MakeWorld(11, similarity);
+  for (uint32_t model = 0; model < kNumBenefitModels; ++model) {
+    SCOPED_TRACE(testing::Message() << "model " << model);
+    ProgressiveOptions options;
+    options.benefit = static_cast<BenefitModel>(model);
+    options.matcher.threshold = 0.3;
+    ReferenceLoop oracle(*w.collection, *w.graph, *w.evaluator, similarity,
+                         options);
+    const std::vector<MatchEvent> want = oracle.Run(w.candidates, w.seeds);
+    ASSERT_GT(oracle.comparisons(), 2u);
+
+    ProgressiveResolver first(*w.collection, *w.graph, *w.evaluator, options);
+    first.Begin(w.candidates, w.seeds);
+    first.Step(oracle.comparisons() / 2);
+    // Later pushes exist, and the schedule still holds work.
+    ASSERT_GT(first.result().scheduler_pushes, w.candidates.size());
+    ASSERT_FALSE(first.finished());
+    std::stringstream checkpoint;
+    ASSERT_TRUE(first.SaveState(checkpoint).ok());
+
+    ProgressiveResolver restored(*w.collection, *w.graph, *w.evaluator,
+                                 options);
+    ASSERT_TRUE(restored.LoadState(checkpoint).ok());
+    while (!restored.finished()) restored.Step(7);
+    ExpectIdenticalMatches(want, restored.result().run.matches);
+    EXPECT_EQ(restored.result().run.comparisons_executed,
+              oracle.comparisons());
   }
 }
 

@@ -2,6 +2,8 @@
 // benefit models, and the full scheduling/matching/update loop.
 
 #include <algorithm>
+#include <map>
+#include <random>
 #include <set>
 
 #include "datagen/lod_generator.h"
@@ -103,6 +105,212 @@ TEST(SchedulerTest, PriorityOfReflectsLiveState) {
   EXPECT_DOUBLE_EQ(s.PriorityOf(PairKey(0, 1)), 0.4);
   s.Push(PairKey(0, 1), 0.6);
   EXPECT_DOUBLE_EQ(s.PriorityOf(PairKey(0, 1)), 0.6);
+}
+
+// --- The primed run merged with the heap of later pushes -----------------
+
+/// Drains `s`, returning the popped (pair, priority) sequence.
+std::vector<std::pair<uint64_t, double>> Drain(ComparisonScheduler& s) {
+  std::vector<std::pair<uint64_t, double>> out;
+  uint64_t pair;
+  double priority;
+  while (s.Pop(pair, priority)) out.emplace_back(pair, priority);
+  return out;
+}
+
+TEST(SchedulerTest, PrimeSortsUnorderedInput) {
+  ComparisonScheduler s;
+  s.Prime({{0.5, PairKey(0, 1)}, {0.9, PairKey(0, 2)}, {0.5, PairKey(0, 0)},
+           {0.7, PairKey(0, 3)}});
+  const auto popped = Drain(s);
+  ASSERT_EQ(popped.size(), 4u);
+  EXPECT_EQ(popped[0].first, PairKey(0, 2));
+  EXPECT_EQ(popped[1].first, PairKey(0, 3));
+  EXPECT_EQ(popped[2].first, PairKey(0, 0));  // tie: smaller pair first
+  EXPECT_EQ(popped[3].first, PairKey(0, 1));
+  EXPECT_EQ(s.pop_counts().run_pops, 4u);
+  EXPECT_EQ(s.pop_counts().heap_pops, 0u);
+}
+
+TEST(SchedulerTest, RunAndHeapTiePopsSmallerPairFirst) {
+  for (const bool run_holds_smaller : {true, false}) {
+    ComparisonScheduler s;
+    const uint64_t small = PairKey(1, 2);
+    const uint64_t large = PairKey(3, 4);
+    s.Prime({{0.5, run_holds_smaller ? small : large}});
+    s.Push(run_holds_smaller ? large : small, 0.5);
+    const auto popped = Drain(s);
+    ASSERT_EQ(popped.size(), 2u);
+    EXPECT_EQ(popped[0].first, small);
+    EXPECT_EQ(popped[1].first, large);
+    EXPECT_EQ(s.pop_counts().run_pops, 1u);
+    EXPECT_EQ(s.pop_counts().heap_pops, 1u);
+  }
+}
+
+TEST(SchedulerTest, PushedPairStaysSupersededAfterHeapCopyPops) {
+  ComparisonScheduler s;
+  s.Prime({{0.9, PairKey(0, 1)}, {0.5, PairKey(0, 2)}, {0.3, PairKey(0, 3)}});
+  s.Push(PairKey(0, 3), 0.95);  // upgrade: pops before the run head
+  uint64_t pair;
+  double priority;
+  ASSERT_TRUE(s.Pop(pair, priority));
+  EXPECT_EQ(pair, PairKey(0, 3));
+  EXPECT_DOUBLE_EQ(priority, 0.95);
+  // The heap copy is gone; the primed 0.3 entry must not resurface.
+  const auto rest = Drain(s);
+  ASSERT_EQ(rest.size(), 2u);
+  EXPECT_EQ(rest[0].first, PairKey(0, 1));
+  EXPECT_EQ(rest[1].first, PairKey(0, 2));
+  EXPECT_EQ(s.pop_counts().superseded_skips, 1u);
+
+  // A downgrade: the run's 0.9 entry dies, the 0.1 push pops last.
+  ComparisonScheduler d;
+  d.Prime({{0.9, PairKey(0, 1)}, {0.5, PairKey(0, 2)}});
+  d.Push(PairKey(0, 1), 0.1);
+  const auto order = Drain(d);
+  ASSERT_EQ(order.size(), 2u);
+  EXPECT_EQ(order[0].first, PairKey(0, 2));
+  EXPECT_EQ(order[1].first, PairKey(0, 1));
+  EXPECT_DOUBLE_EQ(order[1].second, 0.1);
+}
+
+TEST(SchedulerTest, EraseRemovesRunOnlyPair) {
+  ComparisonScheduler s;
+  s.Prime({{0.9, PairKey(0, 1)}, {0.5, PairKey(0, 2)}});
+  s.Erase(PairKey(0, 1));
+  EXPECT_EQ(s.live_size(), 1u);
+  EXPECT_DOUBLE_EQ(s.PriorityOf(PairKey(0, 1)), -1.0);
+  const auto popped = Drain(s);
+  ASSERT_EQ(popped.size(), 1u);
+  EXPECT_EQ(popped[0].first, PairKey(0, 2));
+  EXPECT_TRUE(s.empty());
+}
+
+TEST(SchedulerTest, DuplicatePrimeEntriesCollapse) {
+  ComparisonScheduler s;
+  s.Prime({{0.5, PairKey(0, 1)},
+           {0.7, PairKey(0, 2)},
+           {0.5, PairKey(0, 1)},
+           {0.5, PairKey(0, 1)}});
+  EXPECT_EQ(s.total_pushes(), 4u);
+  EXPECT_EQ(s.live_size(), 2u);
+  const auto live = s.LiveEntries();
+  ASSERT_EQ(live.size(), 2u);
+  EXPECT_EQ(live[0].first, PairKey(0, 1));
+  EXPECT_EQ(Drain(s).size(), 2u);
+}
+
+TEST(SchedulerTest, LiveViewAfterPartialConsumption) {
+  ComparisonScheduler s;
+  s.Prime({{0.9, PairKey(0, 1)},
+           {0.8, PairKey(0, 2)},
+           {0.7, PairKey(0, 3)},
+           {0.6, PairKey(0, 4)},
+           {0.5, PairKey(0, 5)}});
+  uint64_t pair;
+  double priority;
+  ASSERT_TRUE(s.Pop(pair, priority));  // consumes (0, 1)
+  s.Push(PairKey(0, 4), 0.65);         // supersedes a run entry
+  s.Push(PairKey(1, 2), 0.2);          // heap-only pair
+  s.Erase(PairKey(0, 5));
+  EXPECT_EQ(s.live_size(), 4u);
+  EXPECT_FALSE(s.empty());
+  EXPECT_DOUBLE_EQ(s.PriorityOf(PairKey(0, 1)), -1.0);  // consumed
+  EXPECT_DOUBLE_EQ(s.PriorityOf(PairKey(0, 3)), 0.7);   // run entry
+  EXPECT_DOUBLE_EQ(s.PriorityOf(PairKey(0, 4)), 0.65);  // newest push
+  EXPECT_DOUBLE_EQ(s.PriorityOf(PairKey(1, 2)), 0.2);
+  const std::vector<std::pair<uint64_t, double>> want = {
+      {PairKey(0, 2), 0.8},
+      {PairKey(0, 3), 0.7},
+      {PairKey(0, 4), 0.65},
+      {PairKey(1, 2), 0.2}};
+  EXPECT_EQ(s.LiveEntries(), want);
+  EXPECT_EQ(s.total_pushes(), 7u);
+}
+
+TEST(SchedulerTest, RestoreFromPopsIdenticalSequence) {
+  ComparisonScheduler s;
+  std::vector<ComparisonScheduler::Entry> primed;
+  for (uint32_t i = 0; i < 40; ++i) {
+    primed.push_back({0.1 * (i % 7), PairKey(i, i + 100)});
+  }
+  s.Prime(primed);
+  uint64_t pair;
+  double priority;
+  for (int i = 0; i < 10; ++i) ASSERT_TRUE(s.Pop(pair, priority));
+  for (uint32_t i = 0; i < 40; i += 3) {
+    s.Push(PairKey(i, i + 100), 0.05 * (i % 11));
+  }
+  s.Erase(PairKey(39, 139));
+  s.Push(PairKey(500, 600), 0.3);
+
+  ComparisonScheduler restored;
+  restored.RestoreFrom(s.LiveEntries(), s.total_pushes());
+  EXPECT_EQ(restored.total_pushes(), s.total_pushes());
+  EXPECT_EQ(restored.LiveEntries(), s.LiveEntries());
+  EXPECT_EQ(Drain(restored), Drain(s));
+}
+
+// Random Prime/Push/Erase/Pop/RestoreFrom sequences against a plain map of
+// live entries popped by a linear scan: the run/heap split, superseding
+// and the live view must be invisible. Few pairs and few priority values
+// force re-pushes of primed pairs and ties between the two parts.
+TEST(SchedulerTest, MatchesNaiveReferenceUnderRandomOps) {
+  for (uint32_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    std::mt19937 rng(seed);
+    const auto random_pair = [&rng] {
+      return PairKey(rng() % 6, 6 + rng() % 6);
+    };
+    const auto random_priority = [&rng] { return 0.125 * (rng() % 5); };
+    std::map<uint64_t, double> live;
+    std::vector<ComparisonScheduler::Entry> primed;
+    for (int i = 0; i < 20; ++i) {
+      const uint64_t pair = random_pair();
+      const auto [it, fresh] = live.emplace(pair, random_priority());
+      primed.push_back({it->second, pair});  // a relisted pair keeps its value
+    }
+    ComparisonScheduler s;
+    s.Prime(primed);
+    for (int op = 0; op < 200; ++op) {
+      const uint32_t kind = rng() % 10;
+      if (kind < 3) {
+        const uint64_t pair = random_pair();
+        const double priority = random_priority();
+        s.Push(pair, priority);
+        live[pair] = priority;
+      } else if (kind < 4) {
+        const uint64_t pair = random_pair();
+        s.Erase(pair);
+        live.erase(pair);
+      } else if (kind < 9) {
+        uint64_t pair;
+        double priority;
+        const bool popped = s.Pop(pair, priority);
+        ASSERT_EQ(popped, !live.empty());
+        if (!popped) continue;
+        auto top = live.begin();
+        for (auto it = live.begin(); it != live.end(); ++it) {
+          if (it->second > top->second) top = it;
+        }
+        ASSERT_EQ(pair, top->first);
+        ASSERT_EQ(priority, top->second);
+        live.erase(top);
+      } else {
+        ComparisonScheduler restored;
+        restored.RestoreFrom(s.LiveEntries(), s.total_pushes());
+        s = std::move(restored);
+      }
+      ASSERT_EQ(s.live_size(), live.size());
+      const uint64_t probe = random_pair();
+      const auto it = live.find(probe);
+      ASSERT_EQ(s.PriorityOf(probe), it == live.end() ? -1.0 : it->second);
+    }
+    const std::vector<std::pair<uint64_t, double>> want(live.begin(),
+                                                        live.end());
+    EXPECT_EQ(s.LiveEntries(), want);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -471,6 +679,37 @@ TEST(ResolverTest, DiscoveredPairCountedOnceAtZeroIncrement) {
   ASSERT_EQ(result.run.matches.size(), 2u);
   EXPECT_EQ(result.discovered_pairs, 1u);  // (a/3, b/3), reached twice
   EXPECT_EQ(result.run.comparisons_executed, 3u);
+}
+
+// A pair listed twice among Begin's candidates is scheduled once, at the
+// likelihood recorded last — not at the one its earlier copy carried.
+TEST(ResolverTest, RelistedCandidateUsesItsLastLikelihood) {
+  EntityCollection c;
+  ASSERT_TRUE(c.AddKnowledgeBase("a", Parse(R"(
+<http://a/1> <http://a/p> "alpha beta gamma" .
+<http://a/2> <http://a/p> "delta epsilon zeta" .
+)")).ok());
+  ASSERT_TRUE(c.AddKnowledgeBase("b", Parse(R"(
+<http://b/1> <http://b/p> "alpha beta gamma" .
+<http://b/2> <http://b/p> "delta epsilon zeta" .
+)")).ok());
+  ASSERT_TRUE(c.Finalize().ok());
+  const auto id = [&c](const char* iri) { return c.FindByIri(iri); };
+  const NeighborGraph graph(c);
+  const SimilarityEvaluator evaluator(c);
+  ProgressiveOptions opts;
+  opts.enable_update_phase = false;
+  const std::vector<WeightedComparison> candidates = {
+      {id("http://a/1"), id("http://b/1"), 1.0},
+      {id("http://a/2"), id("http://b/2"), 0.5},
+      {id("http://a/1"), id("http://b/1"), 0.1}};
+  const ProgressiveResult result =
+      ProgressiveResolver(c, graph, evaluator, opts).Resolve(candidates);
+  ASSERT_EQ(result.run.matches.size(), 2u);
+  EXPECT_EQ(PairKey(result.run.matches[0].a, result.run.matches[0].b),
+            PairKey(id("http://a/2"), id("http://b/2")));
+  EXPECT_EQ(result.run.comparisons_executed, 2u);
+  EXPECT_EQ(result.scheduler_pushes, 3u);
 }
 
 TEST(ResolverTest, SchedulerOverheadBounded) {

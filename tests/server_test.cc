@@ -577,19 +577,21 @@ TEST(ServerStatsTest, ExporterWritesRollingSnapshotsAndEventLog) {
   ASSERT_TRUE(second.ok()) << second.status().ToString();
 
   // The rolling exporter must produce a complete, never-torn snapshot
-  // while the server keeps running.
+  // while the server keeps running. A snapshot taken before the session
+  // existed names no tenant, so wait for one that names "frank".
+  const std::string kFrank = "\"tenants\":{\"frank\":";
   std::string rolling;
   for (int attempt = 0; attempt < 100; ++attempt) {
     std::ifstream in(options.stats_path, std::ios::binary);
     std::ostringstream buf;
     buf << in.rdbuf();
     rolling = buf.str();
-    if (!rolling.empty()) break;
+    if (rolling.find(kFrank) != std::string::npos) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   ASSERT_FALSE(rolling.empty()) << "exporter never wrote " << options.stats_path;
   EXPECT_NE(rolling.find("\"schema\":\"minoan-stats-v1\""), std::string::npos);
-  EXPECT_NE(rolling.find("\"tenants\":{\"frank\":"), std::string::npos);
+  EXPECT_NE(rolling.find(kFrank), std::string::npos);
   EXPECT_EQ(rolling.back(), '\n');  // complete file, not a torn prefix
 
   (*server)->Shutdown();  // writes the final authoritative snapshots

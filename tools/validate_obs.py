@@ -34,8 +34,10 @@ viewer relies on: a "traceEvents" array of complete ("ph":"X") events,
 each with name / integer ts / non-negative dur / pid / tid, so the file is
 loadable in Perfetto without guessing. The stats check enforces the
 minoan-stats-v1 shape: every static pipeline phase timed, non-empty
-counters with the blocking/prune signals, pool utilization consistent with
-the worker vector, and a positive peak RSS. --expect-spill requires the
+counters with the blocking/prune signals, the progressive.* scheduler
+counters present with run_pops + heap_pops covering every comparison the
+quality curve saw executed, pool utilization consistent with the worker
+vector, and a positive peak RSS. --expect-spill requires the
 spill.* counters to show actual spill activity (the smoke run forces it
 with a tiny --memory-budget); --expect-progress requires a non-empty
 progressive-quality curve with internally consistent samples.
@@ -69,6 +71,15 @@ EXPECTED_COUNTERS = (
 )
 
 SPILL_COUNTERS = ("spill.runs", "spill.bytes", "spill.sinks_spilled")
+
+# Scheduler counters every resolve run must report (present; zero is legal,
+# e.g. superseded_skips when no update-phase push outranked the run).
+SCHEDULER_COUNTERS = (
+    "progressive.prime_candidates",
+    "progressive.run_pops",
+    "progressive.heap_pops",
+    "progressive.superseded_skips",
+)
 
 # Metric prefixes --same-counters compares against the reference run.
 SAME_COUNTER_PREFIXES = ("blocking.", "prune.")
@@ -156,6 +167,10 @@ def check_stats(stats, problems, expect_spill, expect_progress):
                     "run must force spilling with a tiny --memory-budget"
                 )
 
+    for name in SCHEDULER_COUNTERS:
+        if name not in counters:
+            problems.append(f"stats: counter {name!r} missing")
+
     pool = stats.get("pool", {})
     workers = pool.get("worker_busy_micros")
     if not isinstance(workers, list):
@@ -189,6 +204,17 @@ def check_stats(stats, problems, expect_spill, expect_progress):
                     f"stats: progress sample {i} is not monotone"
                 )
             prev = sample
+    # Every executed comparison was popped from the run or the heap first
+    # (pops of stale or already-executed pairs only add to the sum).
+    if progress:
+        executed = max(sample.get("comparisons", 0) for sample in progress)
+        pops = (counters.get("progressive.run_pops", 0)
+                + counters.get("progressive.heap_pops", 0))
+        if pops < executed:
+            problems.append(
+                f"stats: run_pops + heap_pops = {pops} is below the "
+                f"{executed} comparisons executed"
+            )
 
     if stats.get("peak_rss_bytes", 0) <= 0:
         problems.append("stats: peak_rss_bytes missing or zero")
