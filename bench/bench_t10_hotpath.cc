@@ -250,7 +250,6 @@ int main(int argc, char** argv) {
           ",\n";
   json += "  \"hardware_concurrency\": " +
           std::to_string(std::thread::hardware_concurrency()) + ",\n";
-  json += "  \"pin_threads\": false,\n";
   json += "  \"pairs\": " + std::to_string(kNumPairs) + ",\n";
   json += "  \"sweep\": [\n";
   char entry[256];

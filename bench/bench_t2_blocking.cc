@@ -133,9 +133,9 @@ int main(int argc, char** argv) {
     cfg.typo_rate = rate;
     World noisy = World::Make(cfg);
     auto pc = [&](const BlockingMethod& method) {
-      return EvaluateBlocks(method.Build(*noisy.collection),
-                            *noisy.collection, ResolutionMode::kCleanClean,
-                            *noisy.truth)
+      BlockCollection blocks = method.Build(*noisy.collection);
+      return EvaluateBlocks(blocks, *noisy.collection,
+                            ResolutionMode::kCleanClean, *noisy.truth)
           .pair_completeness;
     };
     TokenBlocking token;
@@ -168,7 +168,6 @@ int main(int argc, char** argv) {
   json += "  \"entities\": " + std::to_string(n) + ",\n";
   json += "  \"hardware_concurrency\": " +
           std::to_string(std::thread::hardware_concurrency()) + ",\n";
-  json += "  \"pin_threads\": false,\n";
   json += "  \"sweep\": [\n";
   bool first_entry = true;
   bool all_identical = true;

@@ -135,7 +135,6 @@ int main(int argc, char** argv) {
           std::to_string(w.collection->num_entities()) + ",\n";
   json += "  \"hardware_concurrency\": " +
           std::to_string(std::thread::hardware_concurrency()) + ",\n";
-  json += "  \"pin_threads\": false,\n";
   json += "  \"weighting\": \"ECBS\",\n";
   json += "  \"sweep\": [\n";
   bool first_entry = true;

@@ -119,7 +119,6 @@ int main(int argc, char** argv) {
   json += "  \"entities\": " + std::to_string(n) + ",\n";
   json += "  \"hardware_concurrency\": " +
           std::to_string(std::thread::hardware_concurrency()) + ",\n";
-  json += "  \"pin_threads\": false,\n";
   json += "  \"sweep\": [\n";
   bool first_entry = true;
   bool all_identical = true;

@@ -1,10 +1,7 @@
 #include "blocking/block.h"
 
 #include <algorithm>
-#include <unordered_set>
 #include <utility>
-
-#include "util/hash.h"
 
 namespace minoan {
 
@@ -58,33 +55,6 @@ uint64_t BlockCollection::AggregateComparisons(
     total += NumComparisons(bi, collection, mode);
   }
   return total;
-}
-
-std::vector<Comparison> BlockCollection::DistinctComparisons(
-    const EntityCollection& collection, ResolutionMode mode) const {
-  std::unordered_set<uint64_t> seen;
-  std::vector<Comparison> out;
-  for (uint32_t bi = 0; bi < num_blocks(); ++bi) {
-    const std::span<const EntityId> block = entities(bi);
-    for (size_t i = 0; i < block.size(); ++i) {
-      for (size_t j = i + 1; j < block.size(); ++j) {
-        const EntityId x = block[i], y = block[j];
-        if (mode == ResolutionMode::kCleanClean && !collection.CrossKb(x, y)) {
-          continue;
-        }
-        if (seen.insert(PairKey(x, y)).second) {
-          out.emplace_back(x, y);
-        }
-      }
-    }
-  }
-  return out;
-}
-
-uint32_t BlockCollection::NumPlacedEntities() const {
-  const std::unordered_set<EntityId> placed(entities_.begin(),
-                                            entities_.end());
-  return static_cast<uint32_t>(placed.size());
 }
 
 void BlockCollection::BuildEntityIndex(uint32_t num_entities) {

@@ -91,14 +91,6 @@ class BlockCollection {
   uint64_t AggregateComparisons(const EntityCollection& collection,
                                 ResolutionMode mode) const;
 
-  /// Enumerates the *distinct* comparisons (each unordered pair once, even
-  /// when it co-occurs in many blocks) in block order, restricted by `mode`.
-  std::vector<Comparison> DistinctComparisons(
-      const EntityCollection& collection, ResolutionMode mode) const;
-
-  /// Number of distinct entities placed in at least one block.
-  uint32_t NumPlacedEntities() const;
-
   /// Builds the entity→block-indices CSR over `num_entities` entities.
   /// Lists are sorted by block index.
   void BuildEntityIndex(uint32_t num_entities);

@@ -67,13 +67,11 @@ struct WorkflowOptions {
   QGramBlocking::Options qgram_options;
   SortedNeighborhoodBlocking::Options sn_options;
 
-  /// Block cleaning between blocking and meta-blocking.
-  bool auto_purge = true;
-  /// Block-filtering ratio in (0, 1]; exactly 1 disables filtering.
-  /// Values outside (0, 1] are rejected by Validate().
+  /// Block cleaning always purges oversized blocks, then keeps this ratio
+  /// in (0, 1] of each entity's smallest blocks; exactly 1 disables
+  /// filtering. Values outside (0, 1] are rejected by Validate().
   double filter_ratio = 0.8;
 
-  bool enable_meta_blocking = true;
   MetaBlockingOptions meta;
 
   SimilarityOptions similarity;
@@ -99,12 +97,6 @@ struct WorkflowOptions {
   /// deterministic in the thread count, so the report is identical for
   /// every value.
   uint32_t num_threads = 1;
-
-  /// Pin pool workers to CPU cores (Linux; no-op elsewhere) so per-worker
-  /// scratch stays in one core's cache. CLI: --pin-threads. A placement
-  /// hint like num_threads: results are identical either way, so it is
-  /// excluded from the checkpoint options digest.
-  bool pin_threads = false;
 
   /// Observability (phase tracing, progress sampling). Never part of the
   /// checkpoint options digest; see ObsOptions.

@@ -35,9 +35,11 @@ uint64_t Mix(uint64_t seed, double v) {
 uint64_t OptionsDigest(const WorkflowOptions& o) {
   uint64_t h = Fnv1a64("minoan-workflow-options");
   h = Mix(h, static_cast<uint64_t>(o.blocker));
-  h = Mix(h, static_cast<uint64_t>(o.auto_purge));
+  // The constant 1s fill the slots of two removed switches (purging and
+  // meta-blocking, now always on), so existing checkpoints still restore.
+  h = Mix(h, uint64_t{1});
   h = Mix(h, o.filter_ratio);
-  h = Mix(h, static_cast<uint64_t>(o.enable_meta_blocking));
+  h = Mix(h, uint64_t{1});
   h = Mix(h, static_cast<uint64_t>(o.meta.weighting));
   h = Mix(h, static_cast<uint64_t>(o.meta.pruning));
   h = Mix(h, static_cast<uint64_t>(o.meta.reciprocal));
@@ -57,8 +59,8 @@ uint64_t OptionsDigest(const WorkflowOptions& o) {
   h = Mix(h, o.progressive.evidence.staleness_tolerance);
   h = Mix(h, static_cast<uint64_t>(o.progressive.mode));
   h = Mix(h, static_cast<uint64_t>(o.use_same_as_seeds));
-  // Deliberately excluded: num_threads, pin_threads, memory, obs — pure
-  // execution hints that never change the trajectory.
+  // Deliberately excluded: num_threads, memory, obs — pure execution
+  // hints that never change the trajectory.
   return h;
 }
 
@@ -74,8 +76,7 @@ struct ResolutionSession::Impl {
       : collection(&c), options(o), observer(match_observer) {
     const uint32_t threads = ResolveThreadCount(options.num_threads);
     if (threads > 1) {
-      pool = std::make_unique<ThreadPool>(
-          threads, ThreadPoolOptions{options.pin_threads});
+      pool = std::make_unique<ThreadPool>(threads);
     }
     if (options.obs.enable_trace) {
       trace = std::make_unique<obs::TraceRecorder>();
@@ -172,10 +173,8 @@ Result<ResolutionSession> ResolutionSession::Open(
     watch.Restart();
     {
       obs::PhaseSpan span(impl->trace.get(), "block-cleaning");
-      if (options.auto_purge) {
-        AutoPurge(blocks, collection, options.meta.mode, /*smoothing=*/1.025,
-                  pool);
-      }
+      AutoPurge(blocks, collection, options.meta.mode, /*smoothing=*/1.025,
+                pool);
       if (options.filter_ratio > 0.0 && options.filter_ratio < 1.0) {
         FilterBlocks(blocks, options.filter_ratio, collection,
                      options.meta.mode, pool);
@@ -190,16 +189,8 @@ Result<ResolutionSession> ResolutionSession::Open(
     watch.Restart();
     {
       obs::PhaseSpan span(impl->trace.get(), "meta-blocking");
-      if (options.enable_meta_blocking) {
-        candidates = MetaBlocking(options.meta).Prune(
-            blocks, collection, &impl->meta_stats, pool, options.memory);
-      } else {
-        // Distinct comparisons with CBS weights (no pruning).
-        for (const Comparison& c :
-             blocks.DistinctComparisons(collection, options.meta.mode)) {
-          candidates.push_back({c.a, c.b, 1.0});
-        }
-      }
+      candidates = MetaBlocking(options.meta).Prune(
+          blocks, collection, &impl->meta_stats, pool, options.memory);
     }
   } catch (const extmem::SpillError& e) {
     return Status::IoError(e.what());

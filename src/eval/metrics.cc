@@ -2,23 +2,15 @@
 
 #include <unordered_set>
 
+#include "metablocking/blocking_graph.h"
 #include "util/hash.h"
 
 namespace minoan {
 
-BlockingMetrics EvaluateCandidates(const std::vector<Comparison>& candidates,
-                                   const GroundTruth& truth,
-                                   uint64_t brute_force) {
-  BlockingMetrics m;
-  m.comparisons = candidates.size();
-  m.truth_pairs = truth.num_pairs();
-  std::unordered_set<uint64_t> found;
-  for (const Comparison& c : candidates) {
-    if (truth.Matches(c.a, c.b)) {
-      found.insert(PairKey(c.a, c.b));
-    }
-  }
-  m.matching_pairs = found.size();
+namespace {
+
+/// Fills PC, PQ and RR from the counts already in `m`.
+BlockingMetrics WithRatios(BlockingMetrics m, uint64_t brute_force) {
   m.pair_completeness =
       m.truth_pairs == 0 ? 0.0
                          : static_cast<double>(m.matching_pairs) /
@@ -34,11 +26,43 @@ BlockingMetrics EvaluateCandidates(const std::vector<Comparison>& candidates,
   return m;
 }
 
-BlockingMetrics EvaluateBlocks(const BlockCollection& blocks,
+}  // namespace
+
+BlockingMetrics EvaluateCandidates(const std::vector<Comparison>& candidates,
+                                   const GroundTruth& truth,
+                                   uint64_t brute_force) {
+  BlockingMetrics m;
+  m.comparisons = candidates.size();
+  m.truth_pairs = truth.num_pairs();
+  std::unordered_set<uint64_t> found;
+  for (const Comparison& c : candidates) {
+    if (truth.Matches(c.a, c.b)) {
+      found.insert(PairKey(c.a, c.b));
+    }
+  }
+  m.matching_pairs = found.size();
+  return WithRatios(m, brute_force);
+}
+
+BlockingMetrics EvaluateBlocks(BlockCollection& blocks,
                                const EntityCollection& collection,
                                ResolutionMode mode, const GroundTruth& truth) {
-  return EvaluateCandidates(blocks.DistinctComparisons(collection, mode),
-                            truth, BruteForceComparisons(collection, mode));
+  // The distinct comparisons are the blocking graph's edges. Walking each
+  // edge once from its smaller endpoint keeps memory at O(entities), however
+  // many pairs the blocks induce.
+  const BlockingGraphView view(blocks, collection, WeightingScheme::kCbs,
+                               mode);
+  NeighborScratch scratch(collection.num_entities());
+  BlockingMetrics m;
+  m.truth_pairs = truth.num_pairs();
+  for (EntityId e = 0; e < collection.num_entities(); ++e) {
+    view.ForNeighbors(scratch, e, /*only_greater=*/true,
+                      [&](EntityId n, uint32_t, double) {
+                        ++m.comparisons;
+                        if (truth.Matches(e, n)) ++m.matching_pairs;
+                      });
+  }
+  return WithRatios(m, BruteForceComparisons(collection, mode));
 }
 
 BlockingMetrics EvaluateWeighted(

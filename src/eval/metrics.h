@@ -32,10 +32,14 @@ BlockingMetrics EvaluateCandidates(const std::vector<Comparison>& candidates,
                                    const GroundTruth& truth,
                                    uint64_t brute_force);
 
-/// Convenience overloads.
-BlockingMetrics EvaluateBlocks(const BlockCollection& blocks,
+/// Evaluates the distinct comparisons of `blocks` (each co-occurring pair
+/// once) in O(entities) memory. Builds the blocks' entity index if missing,
+/// the only mutation.
+BlockingMetrics EvaluateBlocks(BlockCollection& blocks,
                                const EntityCollection& collection,
                                ResolutionMode mode, const GroundTruth& truth);
+
+/// Convenience overload.
 BlockingMetrics EvaluateWeighted(
     const std::vector<WeightedComparison>& candidates,
     const GroundTruth& truth, uint64_t brute_force);

@@ -100,10 +100,10 @@ void ResetSpillTelemetry() {
 }
 
 SpillShuffle::SpillShuffle(uint64_t run_bytes, ScopedSpillDir* dir,
-                           uint32_t max_merge_fanin)
+                           uint32_t merge_fanin)
     : run_bytes_(run_bytes),
       dir_(dir),
-      merge_fanin_(std::max<uint32_t>(2, max_merge_fanin)) {}
+      merge_fanin_(std::max<uint32_t>(2, merge_fanin)) {}
 
 SpillShuffle::~SpillShuffle() = default;
 

@@ -162,7 +162,7 @@ Key DecodeKey(std::string_view key_bytes) {
 }
 
 // ---------------------------------------------------------------------------
-// Sink / source abstraction
+// Record source and the spilling sink
 // ---------------------------------------------------------------------------
 
 /// A stream of shuffle records. Views returned by Next stay valid until the
@@ -174,37 +174,30 @@ class ShuffleSource {
   virtual bool Next(std::string_view& record) = 0;
 };
 
-/// A shard's record collector. Add records in arrival order, then Finish
-/// exactly once to read them back sorted by key (equal keys in arrival
-/// order).
-class ShuffleSink {
- public:
-  virtual ~ShuffleSink() = default;
-  virtual void Add(std::string_view record) = 0;
-  virtual std::unique_ptr<ShuffleSource> Finish() = 0;
-};
-
-/// The spilling sink. With run_bytes == 0 it never spills (pure in-memory
+/// A shard's spilling record collector. Add records in arrival order, then
+/// Finish exactly once to read them back sorted by key (equal keys in
+/// arrival order). With run_bytes == 0 it never spills (pure in-memory
 /// stable sort); with a budget it spills a sorted run whenever the buffer
 /// exceeds `run_bytes`. `dir` must outlive the source returned by Finish
 /// (run files are read lazily); it may be null only when run_bytes == 0.
 ///
 /// Runs are written compressed (extmem/run_codec.h: varint frames,
-/// front-coded keys). When more than `max_merge_fanin` runs accumulate,
+/// front-coded keys). When more than `merge_fanin` runs accumulate,
 /// Finish cascade-merges consecutive runs into a next generation of larger
 /// runs until the final merge fits the fan-in — bounding open files at
 /// fan-in + 1 per sink. Merging consecutive runs in place preserves the
 /// run-index tie-break (every record of generation-merge i arrived before
 /// every record of merge i+1), so the merged stream stays byte-identical to
 /// the in-memory stable sort at any fan-in.
-class SpillShuffle : public ShuffleSink {
+class SpillShuffle {
  public:
+  /// `merge_fanin` below 2 is raised to 2.
   SpillShuffle(uint64_t run_bytes, ScopedSpillDir* dir,
-               uint32_t max_merge_fanin = kDefaultMergeFanin);
-  ~SpillShuffle() override;
+               uint32_t merge_fanin = kDefaultMergeFanin);
+  ~SpillShuffle();
 
-  void Add(std::string_view record) override;
-  std::unique_ptr<ShuffleSource> Finish() override;
+  void Add(std::string_view record);
+  std::unique_ptr<ShuffleSource> Finish();
 
   uint64_t records() const { return records_; }
   uint64_t runs_spilled() const { return runs_spilled_; }
@@ -408,8 +401,7 @@ class ShardShuffle {
     const uint64_t run_bytes = memory.RunBytesPerShard(num_shards);
     sinks_.resize(num_shards);
     for (auto& sink : sinks_) {
-      sink = std::make_unique<SpillShuffle>(run_bytes, dir_.get(),
-                                            memory.MergeFanin());
+      sink = std::make_unique<SpillShuffle>(run_bytes, dir_.get());
     }
   }
 

@@ -14,9 +14,9 @@
 // pairs skipped while a posting was outside its validity window (too small,
 // or temporarily over a cap that later grows with the collection) are
 // recovered at the next live insertion, never lost. With size caps disabled
-// the union of all emitted deltas equals
-// BlockCollection::DistinctComparisons of a batch rebuild over the final
-// collection (tested in online_test.cc). With caps enabled the cap is
+// the union of all emitted deltas equals the distinct comparisons (the
+// blocking-graph edges) of a batch rebuild over the final collection
+// (tested in online_test.cc). With caps enabled the cap is
 // evaluated against the *current* collection size, which remains an
 // approximation in two directions: pairs emitted before a posting outgrew
 // the cap cannot be retracted, and a posting that receives no further

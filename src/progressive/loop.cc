@@ -6,7 +6,6 @@
 
 #include "util/hash.h"
 #include "util/serde.h"
-#include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
 namespace minoan {
@@ -246,20 +245,14 @@ void ProgressiveLoop::RecordMerge(EntityId a, EntityId b) {
   state_->RecordMatch(a, b);
 }
 
-StepResult ProgressiveLoop::Step(uint64_t max_comparisons,
-                                 uint64_t budget_millis) {
+StepResult ProgressiveLoop::Step(uint64_t max_comparisons) {
   StepResult out;
   const size_t match_mark = result_.run.matches.size();
   const double tolerance = options_.evidence.staleness_tolerance;
-  const Stopwatch watch;
   const ComparisonScheduler::PopCounts pops = scheduler_.pop_counts();
   uint64_t pair = 0;
   double popped_priority = 0.0;
   while (max_comparisons == 0 || out.comparisons < max_comparisons) {
-    if (budget_millis != 0 &&
-        watch.ElapsedMillis() >= static_cast<double>(budget_millis)) {
-      break;
-    }
     if (!scheduler_.Pop(pair, popped_priority)) {
       out.exhausted = true;
       break;

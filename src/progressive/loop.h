@@ -45,11 +45,6 @@ struct ProgressiveOptions {
   double benefit_weight = 1.0;
   /// Match decision threshold and comparison budget (0 = unlimited).
   MatcherOptions matcher;
-  /// Optional wall-clock budget in milliseconds (0 = unlimited); whichever
-  /// of the two budgets is hit first ends the run. Comparison counts are
-  /// the reproducible unit; wall time is for latency-bound deployments.
-  /// In step mode, bounds each Step call.
-  uint64_t budget_millis = 0;
   /// Master switch of the update phase (T6 ablation).
   bool enable_update_phase = true;
   /// Evidence-propagation knobs, shared with the online engine.
@@ -178,11 +173,10 @@ class ProgressiveLoop {
   // --- Matching --------------------------------------------------------------
 
   /// Spends up to `max_comparisons` scheduled comparisons (0 = until the
-  /// queue drains), stopping early once `budget_millis` (0 = none) of wall
-  /// time have passed: pop the highest priority, skip executed pairs,
-  /// re-queue entries whose priority drifted down past the staleness
-  /// tolerance, execute the rest.
-  StepResult Step(uint64_t max_comparisons, uint64_t budget_millis = 0);
+  /// queue drains): pop the highest priority, skip executed pairs, re-queue
+  /// entries whose priority drifted down past the staleness tolerance,
+  /// execute the rest.
+  StepResult Step(uint64_t max_comparisons);
   /// Executes a not-yet-executed pair ahead of the schedule, dropping its
   /// queued entry (online Query).
   void ExecuteOutOfOrder(uint64_t pair);

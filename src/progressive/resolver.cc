@@ -67,15 +67,14 @@ StepResult ProgressiveResolver::Step(uint64_t max_comparisons) {
     out.exhausted = exhausted_;
     return out;
   }
-  // The overall comparison budget caps this call; the wall-clock budget
-  // bounds it inside the loop.
+  // The overall comparison budget caps this call.
   uint64_t cap = max_comparisons;
   if (options_.matcher.budget != 0) {
     const uint64_t left = options_.matcher.budget -
                           loop_.result().run.comparisons_executed;
     cap = cap == 0 ? left : std::min(cap, left);
   }
-  StepResult out = loop_.Step(cap, options_.budget_millis);
+  StepResult out = loop_.Step(cap);
   exhausted_ = out.exhausted;
   return out;
 }

@@ -23,9 +23,9 @@
 // The resolver is the batch driver of the one progressive loop
 // (progressive/loop.h): Begin() normalizes the meta-blocking weights into
 // likelihoods and primes the loop's schedule, Step(n) spends up to n more
-// comparisons under the matcher.budget / budget_millis stop rule, and the
-// loop state persists between calls, so Step(n/2) twice is byte-identical
-// to Step(n). The legacy run-to-completion Resolve()/ResolveWithSeeds() are
+// comparisons under the matcher.budget stop rule, and the loop state
+// persists between calls, so Step(n/2) twice is byte-identical to Step(n).
+// The legacy run-to-completion Resolve()/ResolveWithSeeds() are
 // thin wrappers, and SaveState/LoadState round-trip the loop state in the
 // MNER-PROG-v1 format for checkpointable sessions (core/session.h).
 

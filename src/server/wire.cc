@@ -1,5 +1,6 @@
 #include "server/wire.h"
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -32,7 +33,10 @@ Status ReadExact(int fd, char* buf, size_t len) {
 Status WriteAll(int fd, std::string_view data) {
   size_t done = 0;
   while (done < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + done, data.size() - done);
+    // MSG_NOSIGNAL: a peer that hung up must cost this connection an
+    // EPIPE, not the whole process a SIGPIPE.
+    const ssize_t n =
+        ::send(fd, data.data() + done, data.size() - done, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return Status::IoError(std::string("write: ") + std::strerror(errno));

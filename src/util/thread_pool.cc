@@ -4,11 +4,6 @@
 #include <atomic>
 #include <chrono>
 
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 #include "obs/metrics.h"
 
 namespace minoan {
@@ -18,21 +13,6 @@ namespace {
 /// Scratch slot of the current thread: 0 for non-workers, i + 1 for worker
 /// i of whichever pool owns the thread (see ThreadPool::CurrentWorkerSlot).
 thread_local size_t tls_worker_slot = 0;
-
-/// Pins `thread` to one core. Best-effort: only implemented on Linux, and
-/// affinity failures (cpuset restrictions, exotic topologies) are ignored —
-/// pinning is a cache-placement hint, never a correctness requirement.
-void PinToCore(std::thread& thread, size_t core) {
-#ifdef __linux__
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(core, &set);
-  (void)pthread_setaffinity_np(thread.native_handle(), sizeof(set), &set);
-#else
-  (void)thread;
-  (void)core;
-#endif
-}
 
 // Timing is metered only while the registry is enabled, so the pool costs
 // zero clock reads when observability is switched off. Timestamps are
@@ -50,16 +30,12 @@ uint64_t NowMicros() {
 
 }  // namespace
 
-ThreadPool::ThreadPool(size_t num_threads, ThreadPoolOptions options)
-    : options_(options) {
+ThreadPool::ThreadPool(size_t num_threads) {
   num_threads = std::max<size_t>(1, num_threads);
   worker_busy_ = std::make_unique<BusyCell[]>(num_threads);
   workers_.reserve(num_threads);
-  const size_t num_cores =
-      std::max(1u, std::thread::hardware_concurrency());
   for (size_t i = 0; i < num_threads; ++i) {
     workers_.emplace_back([this, i] { WorkerLoop(i); });
-    if (options_.pin_threads) PinToCore(workers_.back(), i % num_cores);
   }
 }
 

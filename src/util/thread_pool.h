@@ -39,17 +39,6 @@ struct ThreadPoolStats {
   }
 };
 
-/// Construction-time pool behavior knobs.
-struct ThreadPoolOptions {
-  /// Pin worker i to CPU core (i mod hardware_concurrency). Linux only
-  /// (pthread_setaffinity_np); a graceful no-op elsewhere and on affinity
-  /// failures. Pinning keeps a worker's per-thread scratch (WorkerScratch)
-  /// and its chunk's working set warm in one core's private caches instead
-  /// of migrating them across cores mid-phase. Purely a placement hint:
-  /// results are identical with pinning on or off.
-  bool pin_threads = false;
-};
-
 /// A minimal fixed-size thread pool. Tasks are void() callables. An
 /// exception escaping a task is captured (first one wins; later ones are
 /// dropped) and rethrown from the next Wait()/ParallelFor on the submitting
@@ -57,7 +46,7 @@ struct ThreadPoolOptions {
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (at least 1).
-  explicit ThreadPool(size_t num_threads, ThreadPoolOptions options = {});
+  explicit ThreadPool(size_t num_threads);
 
   /// Drains outstanding work, then joins all workers.
   ~ThreadPool();
@@ -73,10 +62,6 @@ class ThreadPool {
   void Wait();
 
   size_t num_threads() const { return workers_.size(); }
-
-  /// Whether this pool asked for core pinning (the request, not the
-  /// per-thread syscall outcome — affinity failures are ignored).
-  bool pin_threads() const { return options_.pin_threads; }
 
   /// Scratch slot of the calling thread: worker i of whichever pool owns
   /// the thread maps to slot i + 1, any non-worker thread (e.g. the
@@ -105,7 +90,6 @@ class ThreadPool {
 
   void WorkerLoop(size_t worker_index);
 
-  ThreadPoolOptions options_;
   std::vector<std::thread> workers_;
   std::deque<QueuedTask> queue_;
   std::mutex mu_;
@@ -124,7 +108,7 @@ class ThreadPool {
 /// of the pool it is sized for, plus slot 0 for the submitting thread (the
 /// inline path when no pool is given). Local() hands each thread its own
 /// arena, so per-chunk buffers are allocated once per phase instead of once
-/// per chunk, and (with pin_threads) stay resident in one core's cache.
+/// per chunk.
 ///
 /// Contract: call Local() only from chunks dispatched on the pool this
 /// scratch was constructed for (or inline when constructed with nullptr);

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <set>
 
+#include "block_pairs.h"
 #include "blocking/block.h"
 #include "blocking/block_cleaning.h"
 #include "blocking/blocking_method.h"
@@ -77,13 +78,13 @@ TEST(BlockCollectionTest, AddBlockDropsSingletonsAndDupes) {
   EXPECT_EQ(blocks.KeyString(0), "dupes");
 }
 
-TEST(BlockCollectionTest, DistinctComparisonsDedupesAcrossBlocks) {
+TEST(BlockCollectionTest, GraphEdgesDedupeAcrossBlocks) {
   EntityCollection c = TinyCollection();
   BlockCollection blocks;
   blocks.AddBlock("k1", {0, 3});
   blocks.AddBlock("k2", {0, 3, 4});
   const auto distinct =
-      blocks.DistinctComparisons(c, ResolutionMode::kCleanClean);
+      testutil::BlockPairs(blocks, c, ResolutionMode::kCleanClean);
   // (0,3) appears twice across blocks but once distinct; plus (0,4), (3,4)
   // is same-KB (both b)... 3 and 4 are both KB b -> excluded.
   std::set<std::pair<EntityId, EntityId>> expect{{0, 3}, {0, 4}};
@@ -103,11 +104,14 @@ TEST(BlockCollectionTest, EntityIndexInvertsBlocks) {
   EXPECT_EQ(blocks.BlocksOf(4).size(), 0u);
 }
 
-TEST(BlockCollectionTest, NumPlacedEntities) {
+TEST(BlockCollectionTest, GraphNodesArePlacedEntities) {
+  EntityCollection c = TinyCollection();
   BlockCollection blocks;
   blocks.AddBlock("k1", {0, 1});
   blocks.AddBlock("k2", {1, 2});
-  EXPECT_EQ(blocks.NumPlacedEntities(), 3u);
+  const BlockingGraphView view(blocks, c, WeightingScheme::kCbs,
+                               ResolutionMode::kDirty);
+  EXPECT_EQ(view.num_nodes(), 3.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -195,9 +199,9 @@ TEST(TokenBlockingTest, RecallDropsOnPeripheryCloud) {
   ASSERT_TRUE(c.ok());
   auto truth = GroundTruth::FromCloud(*cloud, *c);
   ASSERT_TRUE(truth.ok());
-  TokenBlocking blocking;
-  const BlockingMetrics m = EvaluateBlocks(
-      blocking.Build(*c), *c, ResolutionMode::kCleanClean, *truth);
+  BlockCollection blocks = TokenBlocking().Build(*c);
+  const BlockingMetrics m =
+      EvaluateBlocks(blocks, *c, ResolutionMode::kCleanClean, *truth);
   EXPECT_LT(m.pair_completeness, 0.95)
       << "few common tokens: token blocking must miss pairs (poster claim)";
 }

@@ -1,5 +1,5 @@
 // Tests for character-level blocking (q-gram, sorted neighborhood), the
-// generator's typo knob, and the wall-clock budget.
+// generator's typo knob, and an unbudgeted progressive run.
 
 #include <algorithm>
 #include <memory>
@@ -187,8 +187,8 @@ TEST(TypoTest, TyposDegradeTokenBlockingButNotQGram) {
     EXPECT_TRUE(c.ok());
     auto truth = GroundTruth::FromCloud(*cloud, *c);
     EXPECT_TRUE(truth.ok());
-    return EvaluateBlocks(method.Build(*c), *c, ResolutionMode::kCleanClean,
-                          *truth)
+    BlockCollection blocks = method.Build(*c);
+    return EvaluateBlocks(blocks, *c, ResolutionMode::kCleanClean, *truth)
         .pair_completeness;
   };
   TokenBlocking token;
@@ -223,10 +223,12 @@ TEST(TypoTest, CorruptionPreservesDeterminism) {
 }
 
 // ---------------------------------------------------------------------------
-// Wall-clock budget
+// Unbudgeted run
 // ---------------------------------------------------------------------------
 
-TEST(TimeBudgetTest, ZeroMillisMeansUnlimited) {
+TEST(UnbudgetedRunTest, ExecutesEveryCandidate) {
+  // No comparison budget and no update phase: the run drains the schedule,
+  // executing each meta-blocking candidate exactly once.
   datagen::LodCloudConfig cfg;
   cfg.seed = 617;
   cfg.num_real_entities = 150;
@@ -240,7 +242,6 @@ TEST(TimeBudgetTest, ZeroMillisMeansUnlimited) {
   NeighborGraph graph(*c);
   SimilarityEvaluator evaluator(*c);
   ProgressiveOptions opts;
-  opts.budget_millis = 0;
   opts.enable_update_phase = false;
   ProgressiveResolver resolver(*c, graph, evaluator, opts);
   const ProgressiveResult result = resolver.Resolve(candidates);

@@ -1,7 +1,13 @@
 // Unit tests for the eval module: ground truth, blocking/matching metrics,
 // progressive recall curves & AUC, and the quality-aspect metrics.
 
+#include <sys/resource.h>
+
 #include <cmath>
+#include <numeric>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "eval/ground_truth.h"
 #include "eval/metrics.h"
@@ -84,6 +90,57 @@ TEST(MetricsTest, BruteForceCounts) {
   // n = 5: dirty = 10; clean-clean = 10 - C(3,2) - C(2,2) = 10 - 3 - 1 = 6.
   EXPECT_EQ(BruteForceComparisons(c, ResolutionMode::kDirty), 10u);
   EXPECT_EQ(BruteForceComparisons(c, ResolutionMode::kCleanClean), 6u);
+}
+
+/// Peak resident set size of this process so far, in bytes (Linux reports
+/// ru_maxrss in KiB).
+uint64_t PeakRssBytes() {
+  struct rusage usage {};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<uint64_t>(usage.ru_maxrss) * 1024;
+}
+
+TEST(MetricsTest, EvaluateBlocksMemoryIsLinearInEntities) {
+  // One block holding 2,500 descriptions from each of two KBs induces
+  // 6.25M distinct cross-KB pairs. Evaluating it must count them, not
+  // materialize them: peak RSS may grow by less than 64 MB across the call.
+  constexpr uint32_t kPerKb = 2500;
+  EntityCollection c;
+  for (const std::string kb : {"a", "b"}) {
+    std::string doc;
+    for (uint32_t i = 0; i < kPerKb; ++i) {
+      doc += "<http://" + kb + "/" + std::to_string(i) +
+             "> <http://p/name> \"x\" .\n";
+    }
+    ASSERT_TRUE(c.AddKnowledgeBase(kb, Parse(doc)).ok());
+  }
+  ASSERT_TRUE(c.Finalize().ok());
+  ASSERT_EQ(c.num_entities(), 2 * kPerKb);
+
+  // Description i of KB a matches description i of KB b.
+  std::vector<std::pair<EntityId, EntityId>> pairs;
+  for (uint32_t i = 0; i < kPerKb; ++i) {
+    pairs.emplace_back(c.FindByIri("http://a/" + std::to_string(i)),
+                       c.FindByIri("http://b/" + std::to_string(i)));
+  }
+  const GroundTruth truth(c.num_entities(), pairs);
+  std::vector<EntityId> everyone(c.num_entities());
+  std::iota(everyone.begin(), everyone.end(), EntityId{0});
+  BlockCollection blocks;
+  ASSERT_TRUE(blocks.AddBlock(everyone));
+
+  const uint64_t peak_before = PeakRssBytes();
+  const BlockingMetrics m =
+      EvaluateBlocks(blocks, c, ResolutionMode::kCleanClean, truth);
+  const uint64_t growth = PeakRssBytes() - peak_before;
+
+  EXPECT_EQ(m.comparisons, uint64_t{kPerKb} * kPerKb);
+  EXPECT_EQ(m.matching_pairs, kPerKb);
+  EXPECT_EQ(m.truth_pairs, kPerKb);
+  EXPECT_DOUBLE_EQ(m.pair_completeness, 1.0);
+  EXPECT_DOUBLE_EQ(m.reduction_ratio, 0.0);
+  EXPECT_LT(growth, uint64_t{64} << 20)
+      << "EvaluateBlocks grew peak RSS by " << (growth >> 20) << " MB";
 }
 
 TEST(MetricsTest, MatchingMetricsMath) {

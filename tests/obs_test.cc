@@ -772,13 +772,11 @@ struct ParityRun {
 };
 
 ParityRun RunInstrumented(const EntityCollection& collection,
-                          uint32_t num_threads, bool instrumented,
-                          bool pin_threads = false) {
+                          uint32_t num_threads, bool instrumented) {
   ScopedRegistryEnabled toggle(instrumented);
   WorkflowOptions options;
   options.progressive.matcher.threshold = 0.3;
   options.num_threads = num_threads;
-  options.pin_threads = pin_threads;
   options.obs.enable_trace = instrumented;
   options.obs.progress_every = instrumented ? 100 : 0;
 
@@ -839,23 +837,6 @@ TEST(ObsParityTest, InstrumentationIsOutOfBand) {
     // obs options are excluded from the options digest by design, so a
     // checkpoint taken with tracing on restores under any obs config.
     EXPECT_EQ(plain.checkpoint, instrumented.checkpoint);
-  }
-}
-
-TEST(ObsParityTest, ThreadPinningIsOutOfBand) {
-  // --pin-threads is a cache-placement hint: at 1 and 4 threads, a pinned
-  // run must produce the identical match sequence and (canonicalized)
-  // checkpoint bytes as an unpinned one — and like num_threads it is
-  // excluded from the options digest, so checkpoints cross over freely.
-  const EntityCollection collection = MakeCloud(617);
-  for (uint32_t num_threads : {1u, 4u}) {
-    SCOPED_TRACE("num_threads=" + std::to_string(num_threads));
-    const ParityRun unpinned = RunInstrumented(
-        collection, num_threads, /*instrumented=*/false, /*pin_threads=*/false);
-    const ParityRun pinned = RunInstrumented(
-        collection, num_threads, /*instrumented=*/false, /*pin_threads=*/true);
-    ExpectSameMatches(unpinned.report, pinned.report);
-    EXPECT_EQ(unpinned.checkpoint, pinned.checkpoint);
   }
 }
 

@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "block_pairs.h"
 #include "blocking/blocking_method.h"
 #include "core/online_session.h"
 #include "datagen/lod_generator.h"
@@ -76,7 +77,7 @@ std::set<IriPair> BatchPairs(const EntityCollection& c,
                              ResolutionMode mode) {
   BlockCollection blocks = method.Build(c);
   std::set<IriPair> out;
-  for (const Comparison& cmp : blocks.DistinctComparisons(c, mode)) {
+  for (const Comparison& cmp : testutil::BlockPairs(blocks, c, mode)) {
     out.insert(MakeIriPair(c, cmp.a, cmp.b));
   }
   return out;
@@ -285,8 +286,8 @@ TEST(IncrementalBlockIndexTest, GeneratedCloudParity) {
   BlockCollection blocks =
       CompositeBlocking(std::move(methods)).Build(inc.collection());
   std::set<uint64_t> expected;
-  for (const Comparison& cmp : blocks.DistinctComparisons(
-           inc.collection(), ResolutionMode::kCleanClean)) {
+  for (const Comparison& cmp : testutil::BlockPairs(
+           blocks, inc.collection(), ResolutionMode::kCleanClean)) {
     expected.insert(PairKey(cmp.a, cmp.b));
   }
 
@@ -543,7 +544,7 @@ TEST(OnlineResolverTest, WarmStartReproducesBatchCandidateSet) {
   topts.max_df_fraction = 1.0;
   BlockCollection blocks = TokenBlocking(topts).Build(*batch);
   const size_t expected =
-      blocks.DistinctComparisons(*batch, ResolutionMode::kCleanClean).size();
+      testutil::BlockPairs(blocks, *batch, ResolutionMode::kCleanClean).size();
 
   OnlineOptions options;
   options.matcher.threshold = 0.3;

@@ -313,7 +313,7 @@ TEST(CascadeMergeTest, FailedMergeRemovesPartialOutput) {
   size_t files_before_finish = 0;
   {
     extmem::ScopedSpillDir dir(base.str());
-    extmem::SpillShuffle sink(/*run_bytes=*/256, &dir, /*max_merge_fanin=*/2);
+    extmem::SpillShuffle sink(/*run_bytes=*/256, &dir, /*merge_fanin=*/2);
     for (size_t i = 0; i < 3000; ++i) {
       sink.Add(U32Record(static_cast<uint32_t>(i % 97),
                          static_cast<uint32_t>(i)));

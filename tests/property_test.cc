@@ -4,6 +4,7 @@
 #include <set>
 
 #include "baseline/schedulers.h"
+#include "block_pairs.h"
 #include "blocking/block_cleaning.h"
 #include "blocking/blocking_method.h"
 #include "core/minoan_er.h"
@@ -78,7 +79,7 @@ TEST_P(SeedSweep, BlockingInvariants) {
   const uint64_t aggregate =
       blocks.AggregateComparisons(*collection, ResolutionMode::kCleanClean);
   const auto distinct =
-      blocks.DistinctComparisons(*collection, ResolutionMode::kCleanClean);
+      testutil::BlockPairs(blocks, *collection, ResolutionMode::kCleanClean);
   EXPECT_GE(aggregate, distinct.size());
 
   // Cleaning can only shrink comparisons and never empties the block set.

@@ -4,6 +4,7 @@
 
 #include <string>
 
+#include "block_pairs.h"
 #include "core/minoan_er.h"
 #include "datagen/lod_generator.h"
 #include "gtest/gtest.h"
@@ -225,10 +226,11 @@ TEST(PipelineRobustnessTest, AllEntitiesInOneKbCleanClean) {
   EntityCollection c = FromDoc(doc);
   BlockCollection blocks = TokenBlocking().Build(c);
   const auto distinct =
-      blocks.DistinctComparisons(c, ResolutionMode::kCleanClean);
+      testutil::BlockPairs(blocks, c, ResolutionMode::kCleanClean);
   EXPECT_TRUE(distinct.empty());
   // Dirty mode sees the pair.
-  EXPECT_EQ(blocks.DistinctComparisons(c, ResolutionMode::kDirty).size(), 1u);
+  EXPECT_EQ(testutil::BlockPairs(blocks, c, ResolutionMode::kDirty).size(),
+            1u);
 }
 
 TEST(ResolverRobustnessTest, EmptyCandidates) {

@@ -28,6 +28,7 @@
 #include "server/protocol.h"
 #include "server/server.h"
 #include "server/session_manager.h"
+#include "server/wire.h"
 #include "util/serde.h"
 
 namespace minoan {
@@ -412,6 +413,17 @@ TEST(ServerTest, MalformedFramesAreRejectedWithoutCrashing) {
     expect_still_alive();
   }
   (*server)->Shutdown();
+}
+
+TEST(WireTest, WriteToClosedPeerIsAnErrorNotASignal) {
+  // A client that hangs up before reading its reply must not take the
+  // daemon down: the write fails with EPIPE instead of raising SIGPIPE.
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  ::close(fds[1]);
+  const Status st = WriteAll(fds[0], "reply");
+  ::close(fds[0]);
+  EXPECT_EQ(st.code(), StatusCode::kIoError) << st.ToString();
 }
 
 TEST(ServerTest, ServerSideErrorsLeaveTheConnectionUsable) {

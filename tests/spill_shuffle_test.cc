@@ -185,7 +185,7 @@ TEST(SpillShuffleTest, SpilledMergeEqualsInMemorySort) {
 TEST(SpillShuffleTest, ShardShuffleCleansUpOnSuccessAndException) {
   TempBase base("cleanup");
   extmem::MemoryBudgetOptions memory;
-  memory.spill_run_bytes = 256;
+  memory.shuffle_budget_bytes = 1;  // clamped to 256-byte runs
   memory.spill_dir = base.str();
 
   const auto scan = [](size_t, size_t begin, size_t end, const auto& route) {
@@ -218,7 +218,7 @@ TEST(SpillShuffleTest, ShardShuffleCleansUpOnSuccessAndException) {
 
 TEST(SpillShuffleTest, UnwritableSpillDirThrowsSpillError) {
   extmem::MemoryBudgetOptions memory;
-  memory.spill_run_bytes = 256;
+  memory.shuffle_budget_bytes = 1;  // clamped to 256-byte runs
   memory.spill_dir = "/proc/definitely-not-writable";
   EXPECT_THROW(
       extmem::RunShardShuffle<U32PairCodec>(

@@ -448,21 +448,6 @@ TEST(ThreadPoolTest, WaitOnIdlePoolReturns) {
   SUCCEED();
 }
 
-TEST(ThreadPoolTest, PinnedPoolExecutesAllTasks) {
-  // Pinning is a placement hint; the pool must behave identically with it
-  // on — including when workers outnumber cores and wrap around.
-  ThreadPool pool(8, ThreadPoolOptions{/*pin_threads=*/true});
-  EXPECT_TRUE(pool.pin_threads());
-  std::atomic<int> count{0};
-  pool.ParallelFor(500, [&count](size_t) { count.fetch_add(1); });
-  EXPECT_EQ(count.load(), 500);
-}
-
-TEST(ThreadPoolTest, UnpinnedIsTheDefault) {
-  ThreadPool pool(2);
-  EXPECT_FALSE(pool.pin_threads());
-}
-
 TEST(ThreadPoolTest, WorkerSlotsAreDistinctAndInRange) {
   ThreadPool pool(4);
   // The submitting thread is slot 0; each worker owns slot i + 1.

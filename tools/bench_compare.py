@@ -25,9 +25,9 @@ silent log line.
 
 Reseeding a baseline (arms the timing gate):
 
-  1. Use a machine of the CI runner class — >= 4 hardware cores, no
-     thread pinning. The thread-sweep harnesses run 8-thread legs; on a
-     2-core runner those numbers are meaningless and the recorded
+  1. Use a machine of the CI runner class — >= 4 hardware cores. The
+     thread-sweep harnesses run 8-thread legs; on a 2-core runner those
+     numbers are meaningless and the recorded
      hardware_concurrency will disarm the gate for everyone else.
   2. Build Release and run the harness three times; keep the last
      BENCH_*.json (warm page cache), or download the `bench-json`
@@ -179,20 +179,17 @@ def main():
                 f"(baseline {baseline.get(field)!r}, "
                 f"current {current.get(field)!r})"
             )
-    # Machine class = core count AND pinning mode: a pinned run on the same
-    # silicon has different cache behavior than an unpinned one, so timings
-    # only gate against a baseline recorded the same way.
+    # Machine class = core count: timings only gate against a baseline
+    # recorded on the same class of machine.
     same_machine_class = baseline.get("hardware_concurrency") == current.get(
         "hardware_concurrency"
-    ) and baseline.get("pin_threads") == current.get("pin_threads")
+    )
     if not same_machine_class:
         detail = (
             "baseline was recorded on a different machine class "
             f"(hardware_concurrency {baseline.get('hardware_concurrency')} "
-            f"vs {current.get('hardware_concurrency')}, pin_threads "
-            f"{baseline.get('pin_threads')} vs "
-            f"{current.get('pin_threads')}); timing regressions are "
-            "advisory until the baseline is reseeded with --update on this "
+            f"vs {current.get('hardware_concurrency')}); timing regressions "
+            "are advisory until the baseline is reseeded with --update on this "
             "runner class (>= 4 cores; see the module docstring)"
         )
         print(f"bench_compare: WARNING: {detail}")

@@ -8,7 +8,7 @@
 //       Prints the cloud-structure statistics of the .nt/.ttl files in DIR.
 //
 //   minoan resolve DIR [--threshold F] [--budget N] [--benefit NAME]
-//                  [--seeds] [--threads N] [--pin-threads]
+//                  [--seeds] [--threads N]
 //                  [--blocker NAME] [--filter-ratio F] [--out FILE]
 //                  [--step-budget N] [--stream]
 //                  [--memory-budget BYTES] [--spill-dir DIR]
@@ -133,11 +133,10 @@ bool CheckFlags(const char* verb, const Flags& flags,
 
 /// Flags shared by resolve and session (the workflow surface).
 const std::initializer_list<std::string_view> kResolveFlags = {
-    "threshold",     "budget",      "benefit",     "seeds",
-    "threads",       "pin-threads", "filter-ratio", "out",
-    "step-budget",   "stream",      "memory-budget", "spill-dir",
-    "metrics-out",   "trace-out",   "progress-every", "state",
-    "blocker"};
+    "threshold", "budget",         "benefit",   "seeds",
+    "threads",   "filter-ratio",   "out",       "step-budget",
+    "stream",    "memory-budget",  "spill-dir", "metrics-out",
+    "trace-out", "progress-every", "state",     "blocker"};
 
 /// --threads N (0 = hardware concurrency), shared by every verb that takes
 /// it. Like the Flags numeric accessors, exits 2 with a message naming the
@@ -237,11 +236,21 @@ int CmdStats(const Flags& flags) {
   return 0;
 }
 
-BenefitModel ParseBenefit(const std::string& name) {
+/// --benefit NAME (`fallback` when absent), shared by resolve, session and
+/// online. Like GetThreads, exits 2 with a message naming the flag on an
+/// unknown name instead of silently running another benefit model.
+BenefitModel GetBenefit(const char* verb, const Flags& flags,
+                        const char* fallback) {
+  const std::string name = flags.Get("benefit", fallback);
   if (name == "quantity") return BenefitModel::kQuantity;
   if (name == "attr") return BenefitModel::kAttributeCompleteness;
+  if (name == "coverage") return BenefitModel::kEntityCoverage;
   if (name == "relationship") return BenefitModel::kRelationshipCompleteness;
-  return BenefitModel::kEntityCoverage;
+  std::fprintf(stderr,
+               "error: %s: --benefit must be one of "
+               "quantity|attr|coverage|relationship, got \"%s\"\n",
+               verb, name.c_str());
+  std::exit(2);
 }
 
 /// Workflow options shared by `resolve` and `session`; exits via non-OK
@@ -251,8 +260,7 @@ Result<WorkflowOptions> ParseWorkflowOptions(const std::string& verb,
   WorkflowOptions options;
   options.progressive.matcher.threshold = flags.GetDouble("threshold", 0.35);
   options.progressive.matcher.budget = flags.GetInt("budget", 0);
-  options.progressive.benefit =
-      ParseBenefit(flags.Get("benefit", "coverage"));
+  options.progressive.benefit = GetBenefit(verb.c_str(), flags, "coverage");
   options.use_same_as_seeds = flags.Has("seeds");
   options.filter_ratio =
       flags.GetDouble("filter-ratio", options.filter_ratio);
@@ -292,9 +300,6 @@ Result<WorkflowOptions> ParseWorkflowOptions(const std::string& verb,
   // --threads N: the session's one worker count (0 = hardware
   // concurrency). Deterministic: the result is identical for every value.
   options.num_threads = GetThreads(verb.c_str(), flags);
-  // --pin-threads: pin pool workers to cores (Linux; no-op elsewhere).
-  // A cache-placement hint only — results are identical either way.
-  options.pin_threads = flags.Has("pin-threads");
   // Observability: --trace-out switches phase-span recording on;
   // --progress-every sets the quality-curve cadence (default 1000 when a
   // metrics file was requested, so --metrics-out alone yields a curve).
@@ -509,7 +514,7 @@ int CmdOnline(const Flags& flags) {
   options.matcher.threshold = flags.GetDouble("threshold", 0.35);
   options.blocking.use_pis_keys = flags.Has("pis");
   options.use_same_as_seeds = flags.Has("seeds");
-  options.benefit = ParseBenefit(flags.Get("benefit", "quantity"));
+  options.benefit = GetBenefit("online", flags, "quantity");
   if (Status st = options.Validate(); !st.ok()) {
     return Fail(Status(st.code(), "online: " + st.message()));
   }
@@ -907,8 +912,7 @@ void Usage() {
                "  stats DIR\n"
                "  resolve DIR [--threshold F --budget N --benefit "
                "quantity|attr|coverage|relationship --seeds --threads N "
-               "--pin-threads --filter-ratio F --step-budget N --stream "
-               "--out FILE "
+               "--filter-ratio F --step-budget N --stream --out FILE "
                "--blocker token|pis|attr-cluster|token+pis|qgram|sorted-nbhd "
                "--memory-budget N[k|m|g] --spill-dir DIR "
                "--metrics-out FILE --trace-out FILE --progress-every N]\n"
